@@ -71,12 +71,16 @@ pub struct CoreConfig {
     pub trace: bool,
     /// Idle-cycle fast-forward: when every context is stalled until a known
     /// cycle (a DRAM fill or page walk completing, a fault handler
-    /// returning), [`crate::Machine::run`] jumps the clock to the next
-    /// event instead of ticking through the dead cycles. The skip is exact
-    /// — a cycle is only skipped when provably *nothing* can retire, issue,
-    /// complete or fetch in it — so all observable state (reports, traces,
+    /// returning), [`crate::Machine::run`] and
+    /// [`crate::Machine::run_until`] jump the clock to the next event
+    /// instead of stepping through the dead cycles. The test runs before
+    /// every step and costs O(contexts): it reads each context's ready
+    /// list, ROB head, completion queue and fetch stall. The skip is exact
+    /// (a cycle is only skipped when provably *nothing* can retire, issue,
+    /// complete or fetch in it), so all observable state (reports, traces,
     /// statistics, timer reads) is byte-identical to cycle-by-cycle
-    /// execution. Disable to force the reference cycle-by-cycle loop (the
+    /// execution; only [`crate::Machine::engine_stats`] shows the
+    /// difference. Disable to force the reference cycle-by-cycle loop (the
     /// cross-check baseline).
     pub fast_forward: bool,
 }

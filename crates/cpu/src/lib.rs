@@ -60,7 +60,9 @@ mod trace;
 pub use config::{CoreConfig, DivLatency};
 pub use context::{Context, ContextId};
 pub use isa::{AluOp, Cond, FpOp, Inst, Reg};
-pub use machine::{CheckpointStats, Machine, MachineBuilder, MachineCheckpoint, RunExit};
+pub use machine::{
+    CheckpointStats, EngineStats, Machine, MachineBuilder, MachineCheckpoint, RunExit,
+};
 pub use ports::{PortKind, Ports};
 pub use predictor::{BranchPredictor, PredictorConfig};
 pub use program::{AssembleError, Assembler, Label, Program};

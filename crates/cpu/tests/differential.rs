@@ -7,7 +7,7 @@
 //! is the contract MicroScope exploits (replay steals microarchitectural
 //! state, never architectural results), so it gets the heaviest test.
 
-use microscope_cpu::{AluOp, Cond, Inst, MachineBuilder, Program, Reg};
+use microscope_cpu::{AluOp, Cond, CoreConfig, Inst, MachineBuilder, Program, Reg};
 use microscope_mem::{AddressSpace, PhysMem, PteFlags, VAddr, PAGE_BYTES};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -202,9 +202,26 @@ proptest! {
             let t = asp.translate(&phys, VAddr(*addr), true).unwrap();
             phys.write_u64(t.paddr, *value);
         }
+        // The same program cycle by cycle: fast-forward may only skip
+        // cycles in which nothing happens, so every statistic, the final
+        // cycle included, must come out the same.
+        let mut reference = MachineBuilder::new()
+            .core_config(CoreConfig {
+                fast_forward: false,
+                ..CoreConfig::default()
+            })
+            .phys(phys.clone())
+            .context_in(prog.clone(), asp)
+            .build();
         let mut m = MachineBuilder::new().phys(phys).context_in(prog, asp).build();
         let exit = m.run(5_000_000);
         prop_assert_eq!(exit, microscope_cpu::RunExit::AllHalted);
+        prop_assert_eq!(reference.run(5_000_000), exit);
+        prop_assert_eq!(reference.stats(), m.stats());
+        let (fast, slow) = (m.engine_stats(), reference.engine_stats());
+        prop_assert_eq!(slow.steps, m.cycle());
+        prop_assert_eq!(slow.cycles_skipped, 0);
+        prop_assert_eq!(fast.steps + fast.cycles_skipped, m.cycle());
         let ctx = m.context(0.into());
         for r in 1..13u8 {
             prop_assert_eq!(

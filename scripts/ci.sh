@@ -64,6 +64,21 @@ awk -v c="$committed" -v s="$smoke" 'BEGIN {
     }
     printf "capture rate ok: smoke %.0f/s vs committed %.0f/s\n", s, c
 }' || exit 1
+
+echo "== checkpoint capture flatness gate (>= 0.5) =="
+# capture_flatness_8x is capture throughput with 8x the resident pages over
+# throughput at the base footprint: about 1 while capture is O(dirty pages),
+# about 0.125 if it degrades to O(pages). It is a ratio of two rates taken
+# in the same run, so host speed cancels out.
+flatness=$(awk -F': ' '/"capture_flatness_8x"/ { gsub(/[ ,]/, "", $2); print $2 }' "$BENCH_TMP")
+test -n "$flatness" || { echo "smoke emit lacks capture_flatness_8x" >&2; exit 1; }
+awk -v f="$flatness" 'BEGIN {
+    if (f < 0.5) {
+        printf "error: smoke capture_flatness_8x %.3f is below 0.5: capture cost grows with resident pages\n", f
+        exit 1
+    }
+    printf "capture flatness ok: %.3f\n", f
+}' || exit 1
 rm -f "$BENCH_TMP"
 # The committed baseline at the repo root must stay parseable too.
 cargo run -q --release -p microscope-bench --bin perf_bench -- --validate BENCH_replay.json
