@@ -199,6 +199,15 @@ impl PhysMem {
     /// Reads `N` little-endian bytes starting at `addr`. Reads may cross
     /// page boundaries.
     pub fn read_bytes(&self, addr: PAddr, buf: &mut [u8]) {
+        let off = addr.page_offset() as usize;
+        if off + buf.len() <= PAGE {
+            // One page: one table lookup for the whole access.
+            match self.page(addr.ppn()) {
+                Some(p) => buf.copy_from_slice(&p[off..off + buf.len()]),
+                None => buf.fill(0),
+            }
+            return;
+        }
         for (i, b) in buf.iter_mut().enumerate() {
             *b = self.read_u8(addr.offset(i as u64));
         }
@@ -206,6 +215,11 @@ impl PhysMem {
 
     /// Writes bytes starting at `addr`. Writes may cross page boundaries.
     pub fn write_bytes(&mut self, addr: PAddr, bytes: &[u8]) {
+        let off = addr.page_offset() as usize;
+        if off + bytes.len() <= PAGE {
+            self.page_mut(addr.ppn())[off..off + bytes.len()].copy_from_slice(bytes);
+            return;
+        }
         for (i, b) in bytes.iter().enumerate() {
             self.write_u8(addr.offset(i as u64), *b);
         }
