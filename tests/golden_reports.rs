@@ -25,7 +25,11 @@
 //! * invisible speculation (fills deferred to retirement);
 //! * a store-heavy victim with younger loads (memory disambiguation).
 //!
-//! To re-derive the table after an *intended* timing change, run
+//! A second table pins the bytes of the probe's Chrome-trace and JSONL
+//! exporters, on the Figure-10 traces and on a synthetic stream holding
+//! every event kind with extreme field values.
+//!
+//! To re-derive the tables after an *intended* change, run
 //! `cargo test --test golden_reports -- --nocapture` and copy the printed
 //! digests.
 
@@ -39,7 +43,7 @@ use microscope::cpu::{
 };
 use microscope::mem::{AddressSpace, PhysMem, PteFlags, VAddr, LINE_BYTES};
 use microscope::os::WalkTuning;
-use microscope::probe::RecorderConfig;
+use microscope::probe::{export, CacheTier, Event, EventKind, RecorderConfig, SquashCause};
 use microscope::victims::layout::DataLayout;
 use microscope::victims::rdrand;
 
@@ -93,15 +97,20 @@ fn fig10_cfg() -> PortContentionConfig {
     }
 }
 
-/// Figure 10, cold: the first execution of a freshly built session.
-fn fig10_cold(secret: bool) -> u64 {
+/// The report of a freshly built Figure-10 session's first execution.
+fn fig10_cold_report(secret: bool) -> AttackReport {
     let cfg = fig10_cfg();
     let report = port_contention::build_session(secret, &cfg)
         .execute(RunRequest::cold(cfg.max_cycles).until_monitor_done())
         .expect("port-contention session has a monitor");
     assert_eq!(report.monitor_samples.len(), 300);
     assert!(report.module.replays.iter().sum::<u64>() > 0);
-    report_digest(&report)
+    report
+}
+
+/// Figure 10, cold: the first execution of a freshly built session.
+fn fig10_cold(secret: bool) -> u64 {
+    report_digest(&fig10_cold_report(secret))
 }
 
 /// Figure 10, warm: a second execution replayed from the armed checkpoint.
@@ -503,4 +512,143 @@ fn fig10_replay_steps_are_pinned() {
     assert_eq!(steps + skipped, report.cycles - start);
     assert!(skipped > steps, "most of a fig10 replay is idle cycles");
     assert_eq!(steps, STEPS, "{skipped} cycles skipped");
+}
+
+/// Every event kind, with every squash cause and cache tier, its numeric
+/// fields set from `v` (truncated to narrower fields) and its flags from
+/// `flag`.
+fn every_kind(v: u64, flag: bool) -> Vec<EventKind> {
+    use EventKind::*;
+    let n = v as u32;
+    let mut kinds = vec![
+        Fetch { seq: v, pc: v },
+        Issue { seq: v, pc: v },
+        Complete { seq: v },
+        Retire { seq: v, pc: v },
+        FaultRaised { vaddr: v, pc: v },
+        HandlerReturn { handler_cycles: v },
+        TlbLookup {
+            vpn: v,
+            hit: flag,
+            latency: v,
+        },
+        WalkStart { vaddr: v },
+        WalkStep {
+            level: v as u8,
+            pwc_hit: flag,
+            latency: v,
+        },
+        WalkEnd {
+            vaddr: v,
+            latency: v,
+            faulted: flag,
+        },
+        CacheFlush { line: v },
+        BackInvalidate { line: v },
+        RecipeArmed {
+            recipe: n,
+            vaddr: v,
+        },
+        PresentCleared { vaddr: v },
+        PresentSet { vaddr: v },
+        TlbShootdown { vaddr: v },
+        HandlerEnter { vaddr: v },
+        Replay {
+            recipe: n,
+            replay: v,
+        },
+        MonitorProbe {
+            vaddr: v,
+            latency: v,
+        },
+        PivotStep { recipe: n, step: v },
+        RecipeFinished {
+            recipe: n,
+            replays: v,
+        },
+        HonestFault { vaddr: v },
+        SessionStart { contexts: n },
+        RunEnd {
+            cycles: v,
+            all_halted: flag,
+        },
+        MonitorSample { index: v, value: v },
+    ];
+    for cause in [
+        SquashCause::PageFault,
+        SquashCause::Mispredict,
+        SquashCause::TxnAbort,
+        SquashCause::Interrupt,
+    ] {
+        kinds.push(Squash {
+            cause,
+            discarded: v,
+        });
+    }
+    for tier in [
+        CacheTier::L1,
+        CacheTier::L2,
+        CacheTier::L3,
+        CacheTier::Memory,
+    ] {
+        kinds.push(CacheAccess {
+            line: v,
+            tier,
+            latency: v,
+        });
+    }
+    kinds
+}
+
+/// Every event kind at 0, `u32::MAX` and `u64::MAX`, with both flag
+/// values and with and without a context. Cycles only grow, as in a
+/// recorded stream, so the reconstructed timeline is well formed.
+fn synthetic_events() -> Vec<Event> {
+    let mut events = Vec::new();
+    for (v, flag) in [(0, false), (u64::from(u32::MAX), true), (u64::MAX, false)] {
+        for kind in every_kind(v, flag) {
+            let ctx = (events.len() % 2 == 1).then_some(v as u32);
+            events.push(Event {
+                cycle: v,
+                ctx,
+                replay: v,
+                kind,
+            });
+        }
+    }
+    events
+}
+
+/// `(case, digest of the export)`, recorded before the exporters were
+/// rewritten to append into one buffer.
+const EXPORT_GOLDEN: &[(&str, u64)] = &[
+    ("fig10_mul_cold.chrome", 0xba322679de7faaca),
+    ("fig10_mul_cold.jsonl", 0xc899cb2332c87bfd),
+    ("fig10_div_cold.chrome", 0xcccd28e482d27e1f),
+    ("fig10_div_cold.jsonl", 0x4ba233f896c3381b),
+    ("synthetic.chrome", 0xaddfab05f179befc),
+    ("synthetic.jsonl", 0x9851b45de107eac4),
+];
+
+#[test]
+fn exports_match_the_recorded_digests() {
+    let streams = [
+        ("fig10_mul_cold", fig10_cold_report(false).trace),
+        ("fig10_div_cold", fig10_cold_report(true).trace),
+        ("synthetic", synthetic_events()),
+    ];
+    let mut got = Vec::new();
+    for (name, events) in &streams {
+        assert!(events.len() > 90, "{name}: {} events", events.len());
+        got.push((format!("{name}.chrome"), fnv(&export::chrome_trace(events))));
+        got.push((format!("{name}.jsonl"), fnv(&export::jsonl(events))));
+    }
+    for (name, digest) in &got {
+        println!("    (\"{name}\", {digest:#018x}),");
+    }
+    let want: Vec<(String, u64)> = EXPORT_GOLDEN
+        .iter()
+        .map(|&(name, digest)| (name.to_string(), digest))
+        .collect();
+    assert_eq!(got, want, "exporter output changed");
 }
