@@ -5,6 +5,7 @@
 //! originating hardware context (where meaningful) and the current replay
 //! index, so a whole attack can be read as a single ordered stream.
 
+use crate::json;
 use std::fmt;
 
 /// Which layer of the simulator emitted an event.
@@ -24,17 +25,6 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Stable lowercase name (used by the exporters).
-    pub fn name(self) -> &'static str {
-        match self {
-            Layer::Cpu => "cpu",
-            Layer::Mem => "mem",
-            Layer::Cache => "cache",
-            Layer::Os => "os",
-            Layer::Session => "session",
-        }
-    }
-
     /// All layers, in display order.
     pub const ALL: [Layer; 5] = [
         Layer::Cpu,
@@ -67,15 +57,21 @@ pub enum SquashCause {
     Interrupt,
 }
 
-impl fmt::Display for SquashCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl SquashCause {
+    /// Stable lowercase name.
+    pub fn name(self) -> &'static str {
+        match self {
             SquashCause::PageFault => "page-fault",
             SquashCause::Mispredict => "mispredict",
             SquashCause::TxnAbort => "txn-abort",
             SquashCause::Interrupt => "interrupt",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for SquashCause {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -304,158 +300,208 @@ pub enum EventKind {
     },
 }
 
+/// The kind table: each layer's name and Chrome-trace pid, then the name
+/// of every kind it emits. [`Layer::name`], [`EventKind::layer`],
+/// [`EventKind::name`] and the exporters' per-kind record prefixes all
+/// come from it; the prefixes are assembled at compile time, so an
+/// exporter pushes one literal per record for its name, layer and pid.
+macro_rules! kind_table {
+    ($($layer:ident = $lname:literal, pid $pid:literal {
+        $($kind:ident = $kname:literal,)*
+    })*) => {
+        impl Layer {
+            /// Stable lowercase name (used by the exporters).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Layer::$layer => $lname,)*
+                }
+            }
+
+            /// The layer's "process" id in the Chrome trace.
+            pub(crate) fn pid(self) -> u32 {
+                match self {
+                    $(Layer::$layer => $pid,)*
+                }
+            }
+        }
+
+        impl EventKind {
+            /// The layer this kind belongs to.
+            pub fn layer(&self) -> Layer {
+                match self {
+                    $($(EventKind::$kind { .. } => Layer::$layer,)*)*
+                }
+            }
+
+            /// Stable event name (used by the exporters).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($(EventKind::$kind { .. } => $kname,)*)*
+                }
+            }
+
+            /// A Chrome-trace instant record up to its `tid` value,
+            /// preceded by the comma that separates it from the record
+            /// before.
+            pub(crate) fn chrome_prefix(&self) -> &'static str {
+                match self {
+                    $($(EventKind::$kind { .. } => concat!(
+                        ",{\"ph\":\"i\",\"s\":\"t\",\"name\":\"", $kname,
+                        "\",\"cat\":\"", $lname, "\",\"pid\":", $pid, ",\"tid\":"
+                    ),)*)*
+                }
+            }
+
+            /// The `layer` and `event` members of a JSONL record, each
+            /// preceded by a comma.
+            pub(crate) fn jsonl_members(&self) -> &'static str {
+                match self {
+                    $($(EventKind::$kind { .. } => concat!(
+                        ",\"layer\":\"", $lname, "\",\"event\":\"", $kname, "\""
+                    ),)*)*
+                }
+            }
+        }
+    };
+}
+
+kind_table! {
+    Cpu = "cpu", pid 1 {
+        Fetch = "fetch",
+        Issue = "issue",
+        Complete = "complete",
+        Retire = "retire",
+        Squash = "squash",
+        FaultRaised = "fault",
+        HandlerReturn = "handler-return",
+    }
+    Mem = "mem", pid 2 {
+        TlbLookup = "tlb-lookup",
+        WalkStart = "walk-start",
+        WalkStep = "walk-step",
+        WalkEnd = "walk-end",
+    }
+    Cache = "cache", pid 3 {
+        CacheAccess = "cache-access",
+        CacheFlush = "cache-flush",
+        BackInvalidate = "back-invalidate",
+    }
+    Os = "os", pid 4 {
+        RecipeArmed = "recipe-armed",
+        PresentCleared = "present-cleared",
+        PresentSet = "present-set",
+        TlbShootdown = "tlb-shootdown",
+        HandlerEnter = "handler-enter",
+        Replay = "replay",
+        MonitorProbe = "monitor-probe",
+        PivotStep = "pivot-step",
+        RecipeFinished = "recipe-finished",
+        HonestFault = "honest-fault",
+    }
+    Session = "session", pid 5 {
+        SessionStart = "session-start",
+        RunEnd = "run-end",
+        MonitorSample = "monitor-sample",
+    }
+}
+
 impl EventKind {
-    /// The layer this kind belongs to.
-    pub fn layer(&self) -> Layer {
-        use EventKind::*;
-        match self {
-            Fetch { .. }
-            | Issue { .. }
-            | Complete { .. }
-            | Retire { .. }
-            | Squash { .. }
-            | FaultRaised { .. }
-            | HandlerReturn { .. } => Layer::Cpu,
-            TlbLookup { .. } | WalkStart { .. } | WalkStep { .. } | WalkEnd { .. } => Layer::Mem,
-            CacheAccess { .. } | CacheFlush { .. } | BackInvalidate { .. } => Layer::Cache,
-            RecipeArmed { .. }
-            | PresentCleared { .. }
-            | PresentSet { .. }
-            | TlbShootdown { .. }
-            | HandlerEnter { .. }
-            | Replay { .. }
-            | MonitorProbe { .. }
-            | PivotStep { .. }
-            | RecipeFinished { .. }
-            | HonestFault { .. } => Layer::Os,
-            SessionStart { .. } | RunEnd { .. } | MonitorSample { .. } => Layer::Session,
-        }
-    }
-
-    /// Stable event name (used by the exporters).
-    pub fn name(&self) -> &'static str {
-        use EventKind::*;
-        match self {
-            Fetch { .. } => "fetch",
-            Issue { .. } => "issue",
-            Complete { .. } => "complete",
-            Retire { .. } => "retire",
-            Squash { .. } => "squash",
-            FaultRaised { .. } => "fault",
-            HandlerReturn { .. } => "handler-return",
-            TlbLookup { .. } => "tlb-lookup",
-            WalkStart { .. } => "walk-start",
-            WalkStep { .. } => "walk-step",
-            WalkEnd { .. } => "walk-end",
-            CacheAccess { .. } => "cache-access",
-            CacheFlush { .. } => "cache-flush",
-            BackInvalidate { .. } => "back-invalidate",
-            RecipeArmed { .. } => "recipe-armed",
-            PresentCleared { .. } => "present-cleared",
-            PresentSet { .. } => "present-set",
-            TlbShootdown { .. } => "tlb-shootdown",
-            HandlerEnter { .. } => "handler-enter",
-            Replay { .. } => "replay",
-            MonitorProbe { .. } => "monitor-probe",
-            PivotStep { .. } => "pivot-step",
-            RecipeFinished { .. } => "recipe-finished",
-            HonestFault { .. } => "honest-fault",
-            SessionStart { .. } => "session-start",
-            RunEnd { .. } => "run-end",
-            MonitorSample { .. } => "monitor-sample",
-        }
-    }
-
     /// Appends this kind's payload as JSON object members (no braces),
-    /// e.g. `"seq":12,"pc":3`.
-    pub(crate) fn write_args_json(&self, out: &mut String) {
-        use std::fmt::Write;
+    /// e.g. `"seq":12,"pc":3`. Every kind has at least one member.
+    pub(crate) fn write_args_json<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         use EventKind::*;
+        let num = |out: &mut W, key: &str, v: u64| {
+            out.write_str(key)?;
+            json::write_u64(out, v)
+        };
+        let flag = |out: &mut W, key: &str, v: bool| {
+            out.write_str(key)?;
+            out.write_str(if v { "true" } else { "false" })
+        };
         match *self {
             Fetch { seq, pc } | Issue { seq, pc } | Retire { seq, pc } => {
-                let _ = write!(out, "\"seq\":{seq},\"pc\":{pc}");
+                num(out, "\"seq\":", seq)?;
+                num(out, ",\"pc\":", pc)
             }
-            Complete { seq } => {
-                let _ = write!(out, "\"seq\":{seq}");
-            }
+            Complete { seq } => num(out, "\"seq\":", seq),
             Squash { cause, discarded } => {
-                let _ = write!(out, "\"cause\":\"{cause}\",\"discarded\":{discarded}");
+                out.write_str("\"cause\":\"")?;
+                out.write_str(cause.name())?;
+                num(out, "\",\"discarded\":", discarded)
             }
             FaultRaised { vaddr, pc } => {
-                let _ = write!(out, "\"vaddr\":{vaddr},\"pc\":{pc}");
+                num(out, "\"vaddr\":", vaddr)?;
+                num(out, ",\"pc\":", pc)
             }
-            HandlerReturn { handler_cycles } => {
-                let _ = write!(out, "\"handler_cycles\":{handler_cycles}");
-            }
+            HandlerReturn { handler_cycles } => num(out, "\"handler_cycles\":", handler_cycles),
             TlbLookup { vpn, hit, latency } => {
-                let _ = write!(out, "\"vpn\":{vpn},\"hit\":{hit},\"latency\":{latency}");
-            }
-            WalkStart { vaddr } => {
-                let _ = write!(out, "\"vaddr\":{vaddr}");
+                num(out, "\"vpn\":", vpn)?;
+                flag(out, ",\"hit\":", hit)?;
+                num(out, ",\"latency\":", latency)
             }
             WalkStep {
                 level,
                 pwc_hit,
                 latency,
             } => {
-                let _ = write!(
-                    out,
-                    "\"level\":{level},\"pwc_hit\":{pwc_hit},\"latency\":{latency}"
-                );
+                num(out, "\"level\":", level.into())?;
+                flag(out, ",\"pwc_hit\":", pwc_hit)?;
+                num(out, ",\"latency\":", latency)
             }
             WalkEnd {
                 vaddr,
                 latency,
                 faulted,
             } => {
-                let _ = write!(
-                    out,
-                    "\"vaddr\":{vaddr},\"latency\":{latency},\"faulted\":{faulted}"
-                );
+                num(out, "\"vaddr\":", vaddr)?;
+                num(out, ",\"latency\":", latency)?;
+                flag(out, ",\"faulted\":", faulted)
             }
             CacheAccess {
                 line,
                 tier,
                 latency,
             } => {
-                let _ = write!(
-                    out,
-                    "\"line\":{line},\"tier\":\"{tier}\",\"latency\":{latency}"
-                );
+                num(out, "\"line\":", line)?;
+                out.write_str(",\"tier\":\"")?;
+                out.write_str(tier.name())?;
+                num(out, "\",\"latency\":", latency)
             }
-            CacheFlush { line } | BackInvalidate { line } => {
-                let _ = write!(out, "\"line\":{line}");
-            }
+            CacheFlush { line } | BackInvalidate { line } => num(out, "\"line\":", line),
             RecipeArmed { recipe, vaddr } => {
-                let _ = write!(out, "\"recipe\":{recipe},\"vaddr\":{vaddr}");
+                num(out, "\"recipe\":", recipe.into())?;
+                num(out, ",\"vaddr\":", vaddr)
             }
-            PresentCleared { vaddr }
+            WalkStart { vaddr }
+            | PresentCleared { vaddr }
             | PresentSet { vaddr }
             | TlbShootdown { vaddr }
             | HandlerEnter { vaddr }
-            | HonestFault { vaddr } => {
-                let _ = write!(out, "\"vaddr\":{vaddr}");
-            }
+            | HonestFault { vaddr } => num(out, "\"vaddr\":", vaddr),
             Replay { recipe, replay } => {
-                let _ = write!(out, "\"recipe\":{recipe},\"replay\":{replay}");
+                num(out, "\"recipe\":", recipe.into())?;
+                num(out, ",\"replay\":", replay)
             }
             MonitorProbe { vaddr, latency } => {
-                let _ = write!(out, "\"vaddr\":{vaddr},\"latency\":{latency}");
+                num(out, "\"vaddr\":", vaddr)?;
+                num(out, ",\"latency\":", latency)
             }
             PivotStep { recipe, step } => {
-                let _ = write!(out, "\"recipe\":{recipe},\"step\":{step}");
+                num(out, "\"recipe\":", recipe.into())?;
+                num(out, ",\"step\":", step)
             }
             RecipeFinished { recipe, replays } => {
-                let _ = write!(out, "\"recipe\":{recipe},\"replays\":{replays}");
+                num(out, "\"recipe\":", recipe.into())?;
+                num(out, ",\"replays\":", replays)
             }
-            SessionStart { contexts } => {
-                let _ = write!(out, "\"contexts\":{contexts}");
-            }
+            SessionStart { contexts } => num(out, "\"contexts\":", contexts.into()),
             RunEnd { cycles, all_halted } => {
-                let _ = write!(out, "\"cycles\":{cycles},\"all_halted\":{all_halted}");
+                num(out, "\"cycles\":", cycles)?;
+                flag(out, ",\"all_halted\":", all_halted)
             }
             MonitorSample { index, value } => {
-                let _ = write!(out, "\"index\":{index},\"value\":{value}");
+                num(out, "\"index\":", index)?;
+                num(out, ",\"value\":", value)
             }
         }
     }
@@ -488,12 +534,9 @@ impl fmt::Display for Event {
         if let Some(c) = self.ctx {
             write!(f, " ctx{c}")?;
         }
-        let mut args = String::new();
-        self.kind.write_args_json(&mut args);
-        if !args.is_empty() {
-            write!(f, " {{{args}}}")?;
-        }
-        Ok(())
+        f.write_str(" {")?;
+        self.kind.write_args_json(f)?;
+        f.write_str("}")
     }
 }
 
@@ -551,5 +594,23 @@ mod tests {
         assert!(s.contains("page-fault"), "{s}");
         assert!(s.contains("17"), "{s}");
         assert!(s.contains("cpu"), "{s}");
+        assert_eq!(
+            s,
+            "[     120] cpu r2   squash ctx0 {\"cause\":\"page-fault\",\"discarded\":17}"
+        );
+        let e = Event {
+            cycle: 7,
+            ctx: None,
+            replay: 0,
+            kind: EventKind::TlbLookup {
+                vpn: u64::MAX,
+                hit: true,
+                latency: 0,
+            },
+        };
+        assert_eq!(
+            e.to_string(),
+            "[       7] mem r0   tlb-lookup {\"vpn\":18446744073709551615,\"hit\":true,\"latency\":0}"
+        );
     }
 }
