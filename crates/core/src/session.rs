@@ -320,14 +320,13 @@ impl AttackSession {
     }
 
     /// The armed-state checkpoint, once captured (see
-    /// [`AttackSession::rerun`]).
+    /// [`RunRequest::from_checkpoint`]).
     pub fn armed_checkpoint(&self) -> Option<&MachineCheckpoint> {
         self.armed_checkpoint.as_ref()
     }
 
     /// Executes one [`RunRequest`] and produces the report — the single
-    /// entry point subsuming the former `run` / `run_until_monitor_done` /
-    /// `rerun` / `rerun_until_monitor_done` / `run_cross_checked` family.
+    /// way to run a session.
     ///
     /// A cold request's first execution captures the armed-state
     /// checkpoint — up front when the module armed at build time, or
@@ -360,49 +359,6 @@ impl AttackSession {
             (true, false) => self.replay_run(req.max_cycles()),
             (true, true) => self.replay_until_monitor(req.max_cycles()),
         }
-    }
-
-    /// Runs for at most `max_cycles` and produces the report.
-    #[deprecated(since = "0.5.0", note = "use `execute(RunRequest::cold(max_cycles))`")]
-    pub fn run(&mut self, max_cycles: u64) -> AttackReport {
-        self.cold_run(max_cycles)
-    }
-
-    /// Runs until the monitor halts, then reports.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `execute(RunRequest::cold(max_cycles).until_monitor_done())`"
-    )]
-    pub fn run_until_monitor_done(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        self.cold_until_monitor(max_cycles)
-    }
-
-    /// Rewinds to the armed checkpoint and re-runs.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `execute(RunRequest::cold(max_cycles).from_checkpoint())`"
-    )]
-    pub fn rerun(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        self.replay_run(max_cycles)
-    }
-
-    /// Rewinds to the armed checkpoint and re-runs until the monitor halts.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `execute(RunRequest::cold(max_cycles).from_checkpoint().until_monitor_done())`"
-    )]
-    pub fn rerun_until_monitor_done(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        self.replay_until_monitor(max_cycles)
-    }
-
-    /// Re-executes the post-arm window with and without fast-forward and
-    /// verifies the reports agree.
-    #[deprecated(
-        since = "0.5.0",
-        note = "use `execute(RunRequest::cold(max_cycles).cross_checked())`"
-    )]
-    pub fn run_cross_checked(&mut self, max_cycles: u64) -> Result<AttackReport, RunError> {
-        self.cross_checked_impl(max_cycles)
     }
 
     /// Cold execution from the current machine state; captures the armed

