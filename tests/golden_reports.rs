@@ -16,6 +16,8 @@
 //!   checkpoint;
 //! * one AES extraction with deferred arming (the victim's own stepping
 //!   interrupt, pivots, walks, primes);
+//! * one 48-step AES extraction armed at build (the benchmark's
+//!   `aes_extract` op: every replay probes and re-primes 64 table lines);
 //! * fence-after-pipeline-flush (the post-flush blocker);
 //! * fenced and unfenced RDRAND (the execute-at-head gate) under a
 //!   selective replayer;
@@ -136,6 +138,26 @@ fn aes() -> u64 {
         ..AesAttackConfig::default()
     });
     assert!(!out.report.module.observations.is_empty());
+    report_digest(&out.report)
+}
+
+/// One 48-step AES extraction armed at build, as the benchmark runs it:
+/// every replay probes and re-primes all 64 table lines, so the event
+/// stream pins the order of each `CacheAccess`, `CacheFlush` and
+/// `MonitorProbe` the replay handler makes.
+fn aes_extract_48() -> u64 {
+    let out = aes_attack::run(&AesAttackConfig {
+        max_steps: 48,
+        defer_arm: None,
+        walk: WalkTuning::Length { levels: 2 },
+        probe: Some(RecorderConfig {
+            enabled: true,
+            capacity: 400_000,
+        }),
+        ..AesAttackConfig::default()
+    });
+    assert!(out.decrypted_correctly);
+    assert_eq!(out.report.dropped_events, 0);
     report_digest(&out.report)
 }
 
@@ -437,6 +459,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("fig10_mul_warm", 0x880252f9f3ed8222),
     ("fig10_div_warm", 0xeb9476951e622261),
     ("aes_deferred_arm", 0x761d591afa54a361),
+    ("aes_extract_48", 0xe5008fb4117cc6d6),
     ("leak_unfenced", 0xf78bc898442b7e54),
     ("leak_fence_after_flush", 0x2d92a83c44ddbb99),
     ("rdrand_unfenced", 0xb43252127712d461),
@@ -456,6 +479,7 @@ fn run_case(name: &str) -> u64 {
         "fig10_mul_warm" => fig10_warm(false),
         "fig10_div_warm" => fig10_warm(true),
         "aes_deferred_arm" => aes(),
+        "aes_extract_48" => aes_extract_48(),
         "leak_unfenced" => leak_victim(false),
         "leak_fence_after_flush" => leak_victim(true),
         "rdrand_unfenced" => rdrand_bias(false, 2),
