@@ -91,14 +91,12 @@ impl Supervisor for SteppingProber {
 
     fn on_interrupt(&mut self, hw: &mut HwParts, _ev: &InterruptEvent) -> SupervisorAction {
         let mut hot = Vec::new();
-        for (i, va) in self.lines.iter().enumerate() {
-            if let Some(pa) = microscope_os::translate_ignoring_present(hw, self.aspace, *va) {
-                if hw.hier.level_of(pa).is_some() {
-                    hot.push(i);
-                }
-                hw.hier.flush_line(pa); // reset for the next step
+        microscope_os::for_each_line(hw, self.aspace, &self.lines, |hier, i, pa| {
+            if hier.level_of(pa).is_some() {
+                hot.push(i);
             }
-        }
+            hier.flush_line(pa); // reset for the next step
+        });
         self.observations.borrow_mut().push(hot);
         SupervisorAction::cycles(400)
     }

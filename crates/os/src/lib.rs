@@ -31,7 +31,8 @@ mod shared;
 pub use kernel::{Kernel, KernelCheckpoint, Process};
 pub use module::{MicroScopeModule, ModuleCheckpoint};
 pub use ops::{
-    flush_translation, prime_lines, probe_latencies, set_walk_length, translate_ignoring_present,
+    flush_translation, for_each_line, prime_lines, probe_latencies, set_walk_length,
+    translate_ignoring_present,
 };
 pub use recipe::{AttackRecipe, RecipeId, WalkTuning};
 pub use shared::{ModuleShared, Observation, SharedHandle};

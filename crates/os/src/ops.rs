@@ -1,9 +1,15 @@
 //! The attack operations of paper §5.2.2, expressed over the privileged
 //! hardware view.
 
-use microscope_cache::PAddr;
+use microscope_cache::{MemoryHierarchy, PAddr};
 use microscope_cpu::HwParts;
-use microscope_mem::{AddressSpace, PtLevel, VAddr, PAGE_BYTES};
+use microscope_mem::{AddressSpace, PhysMem, PtLevel, VAddr, PAGE_BYTES};
+
+/// The frame the leaf PTE of `vaddr` names, whatever its Present bit.
+fn leaf_ppn(phys: &PhysMem, aspace: AddressSpace, vaddr: VAddr) -> Option<u64> {
+    let pte = aspace.read_entry(phys, vaddr, PtLevel::Pte)?;
+    (pte.ppn() != 0).then_some(pte.ppn())
+}
 
 /// Translates `vaddr` through `aspace` *ignoring the Present bit* of the
 /// leaf PTE. The OS can always do this (it owns the tables), and needs it to
@@ -13,18 +19,57 @@ pub fn translate_ignoring_present(
     aspace: AddressSpace,
     vaddr: VAddr,
 ) -> Option<PAddr> {
-    let pte = aspace.read_entry(&hw.phys, vaddr, PtLevel::Pte)?;
-    if pte.ppn() == 0 {
-        return None;
+    leaf_ppn(&hw.phys, aspace, vaddr).map(|ppn| PAddr(ppn * PAGE_BYTES + vaddr.page_offset()))
+}
+
+/// Calls `f(hierarchy, i, paddr)` for each `addrs[i]` in order, with its
+/// physical address as [`translate_ignoring_present`] gives it; unmapped
+/// addresses are skipped.
+///
+/// The page tables are walked in software once per run of consecutive
+/// addresses on the same page, not once per address: a Prime+Probe
+/// replayer's monitored lines sit a few to a page (the 64 AES table lines
+/// lie on one or two pages), and it probes and primes them all on every
+/// replay. `f` sees only the cache hierarchy, so it cannot change the
+/// tables the remembered frame came from.
+pub fn for_each_line(
+    hw: &mut HwParts,
+    aspace: AddressSpace,
+    addrs: &[VAddr],
+    mut f: impl FnMut(&mut MemoryHierarchy, usize, PAddr),
+) {
+    let mut page: Option<(u64, Option<u64>)> = None;
+    for (i, va) in addrs.iter().enumerate() {
+        let ppn = match page {
+            Some((vpn, ppn)) if vpn == va.vpn() => ppn,
+            _ => {
+                let ppn = leaf_ppn(&hw.phys, aspace, *va);
+                page = Some((va.vpn(), ppn));
+                ppn
+            }
+        };
+        if let Some(ppn) = ppn {
+            f(&mut hw.hier, i, PAddr(ppn * PAGE_BYTES + va.page_offset()));
+        }
     }
-    Some(PAddr(pte.ppn() * PAGE_BYTES + vaddr.page_offset()))
 }
 
 /// Flushes all translation state for `vaddr`: the four page-table entry
 /// lines from the cache hierarchy, the page-walk cache, and the TLB entry
 /// (paper §4.1.1, Replayer setup steps 2–4).
 pub fn flush_translation(hw: &mut HwParts, aspace: AddressSpace, vaddr: VAddr) {
-    for entry_pa in aspace.entry_paddrs(&hw.phys, vaddr).into_iter().flatten() {
+    let entries = aspace.entry_paddrs(&hw.phys, vaddr);
+    flush_entries(hw, aspace, vaddr, &entries);
+}
+
+/// [`flush_translation`] with the entry addresses already walked.
+fn flush_entries(
+    hw: &mut HwParts,
+    aspace: AddressSpace,
+    vaddr: VAddr,
+    entries: &[Option<PAddr>; 4],
+) {
+    for &entry_pa in entries.iter().flatten() {
         hw.hier.flush_line(entry_pa);
         hw.walker.pwc_mut().flush_entry(entry_pa);
     }
@@ -43,7 +88,7 @@ pub fn set_walk_length(hw: &mut HwParts, aspace: AddressSpace, vaddr: VAddr, len
     assert!((1..=4).contains(&length), "walk length must be in 1..=4");
     let entries = aspace.entry_paddrs(&hw.phys, vaddr);
     // Cold everything first.
-    flush_translation(hw, aspace, vaddr);
+    flush_entries(hw, aspace, vaddr, &entries);
     // Warm the top `4 - length` levels back into the PWC (only the three
     // upper levels are PWC-cacheable, so `length == 1` still pays one DRAM
     // access for the leaf PTE — matching real walkers).
@@ -56,11 +101,7 @@ pub fn set_walk_length(hw: &mut HwParts, aspace: AddressSpace, vaddr: VAddr, len
 /// Evicts each address's line from the whole hierarchy ("priming the
 /// caches" before a replay so the next probe is unambiguous).
 pub fn prime_lines(hw: &mut HwParts, aspace: AddressSpace, addrs: &[VAddr]) {
-    for va in addrs {
-        if let Some(pa) = translate_ignoring_present(hw, aspace, *va) {
-            hw.hier.flush_line(pa);
-        }
-    }
+    for_each_line(hw, aspace, addrs, |hier, _, pa| hier.flush_line(pa));
 }
 
 /// Probes each address's line, returning `(vaddr, access latency)` — the
@@ -71,12 +112,11 @@ pub fn probe_latencies(
     aspace: AddressSpace,
     addrs: &[VAddr],
 ) -> Vec<(VAddr, u64)> {
-    addrs
-        .iter()
-        .filter_map(|va| {
-            translate_ignoring_present(hw, aspace, *va).map(|pa| (*va, hw.hier.access(pa).latency))
-        })
-        .collect()
+    let mut out = Vec::with_capacity(addrs.len());
+    for_each_line(hw, aspace, addrs, |hier, i, pa| {
+        out.push((addrs[i], hier.access(pa).latency));
+    });
+    out
 }
 
 #[cfg(test)]
@@ -175,6 +215,86 @@ mod tests {
     fn zero_walk_length_rejected() {
         let (mut hw, aspace, va) = hw_with_mapping();
         set_walk_length(&mut hw, aspace, va, 0);
+    }
+
+    /// The per-page walk of `probe_latencies`/`prime_lines` against a
+    /// per-line `translate_ignoring_present` loop on a clone of the same
+    /// hardware: pages that interleave (A, B, A), a pivot page whose leaf
+    /// Present bit is cleared, and an unmapped address.
+    #[test]
+    fn per_page_walk_matches_a_per_line_walk() {
+        let (mut hw, aspace, a) = hw_with_mapping();
+        let b = VAddr(0x2000_0000);
+        let pivot = VAddr(0x2000_1000);
+        for va in [b, pivot] {
+            let frame = hw.phys.alloc_frame();
+            aspace.map(&mut hw.phys, va, frame, PteFlags::user_data());
+        }
+        aspace.set_present(&mut hw.phys, pivot, false);
+        let unmapped = VAddr(0xdead_0000);
+        let line = |va: VAddr, i: u64| VAddr(va.0 + i * 64);
+        let addrs = [
+            line(a, 0),
+            line(a, 1),
+            line(b, 0),
+            line(b, 3),
+            line(a, 2),
+            line(pivot, 0),
+            line(unmapped, 0),
+            line(pivot, 5),
+            line(a, 63),
+        ];
+        // Warm a few lines so the probe sees hits as well as misses.
+        for va in [line(a, 1), line(b, 3), line(pivot, 5)] {
+            let pa = translate_ignoring_present(&hw, aspace, va).unwrap();
+            hw.hier.access(pa);
+        }
+
+        let mut oracle = hw.clone();
+        let per_line_probe = |hw: &mut HwParts| -> Vec<(VAddr, u64)> {
+            addrs
+                .iter()
+                .filter_map(|&va| {
+                    translate_ignoring_present(hw, aspace, va)
+                        .map(|pa| (va, hw.hier.access(pa).latency))
+                })
+                .collect()
+        };
+        let per_line_prime = |hw: &mut HwParts| {
+            for &va in &addrs {
+                if let Some(pa) = translate_ignoring_present(hw, aspace, va) {
+                    hw.hier.flush_line(pa);
+                }
+            }
+        };
+
+        let probed = probe_latencies(&mut hw, aspace, &addrs);
+        let want = per_line_probe(&mut oracle);
+        assert_eq!(
+            probed.len(),
+            addrs.len() - 1,
+            "only the unmapped line skipped"
+        );
+        assert_eq!(probed, want);
+        prime_lines(&mut hw, aspace, &addrs);
+        per_line_prime(&mut oracle);
+        assert_eq!(
+            probe_latencies(&mut hw, aspace, &addrs),
+            per_line_probe(&mut oracle),
+            "after priming"
+        );
+        for &va in &addrs {
+            let (Some(pa), Some(opa)) = (
+                translate_ignoring_present(&hw, aspace, va),
+                translate_ignoring_present(&oracle, aspace, va),
+            ) else {
+                assert_eq!(va, unmapped);
+                continue;
+            };
+            assert_eq!(pa, opa);
+            assert_eq!(hw.hier.level_of(pa), oracle.hier.level_of(opa), "{va:?}");
+        }
+        assert_eq!(hw.hier.stats(), oracle.hier.stats());
     }
 
     #[test]
