@@ -11,10 +11,10 @@
 //!
 //! [`PhysMem`] therefore shares its pages:
 //!
-//! * the page table (`ppn → page`) is an [`Arc`]-shared map, so **cloning a
+//! * the page table (`ppn → page`) is an [`Rc`]-shared map, so **cloning a
 //!   `PhysMem` is one reference bump** — O(1), no byte is copied;
-//! * each page is itself an [`Arc`]-shared 4 KiB frame, so the first write
-//!   after a clone copies **only the written page** ([`Arc::make_mut`]),
+//! * each page is itself an [`Rc`]-shared 4 KiB frame, so the first write
+//!   after a clone copies **only the written page** ([`Rc::make_mut`]),
 //!   never the whole store;
 //! * per-epoch dirty counters ([`PhysMem::epoch_dirty_pages`]) let the
 //!   checkpoint layer report restore cost as *pages actually dirtied
@@ -24,11 +24,15 @@
 //! zero page). Page tables, victim data, monitor buffers and AES tables all
 //! live here, which is what lets the cache hierarchy treat them uniformly —
 //! and what makes the CoW sharing pay for the page-table frames too.
+//!
+//! The sharing is `Rc`, not `Arc`: a machine and its checkpoints never
+//! cross a thread, and every write goes through `make_mut`, which on an
+//! `Arc` is a locked read-modify-write.
 
 use microscope_cache::{PAddr, PAGE_BYTES};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 const PAGE: usize = PAGE_BYTES as usize;
 
@@ -54,7 +58,7 @@ type Page = [u8; PAGE];
 /// ```
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    pages: Arc<HashMap<u64, Arc<Page>>>,
+    pages: Rc<HashMap<u64, Rc<Page>>>,
     next_frame: u64,
     /// Pages copied by CoW since construction (monotone while this lineage
     /// lives; a restore rewinds it to the captured value, which is how the
@@ -71,7 +75,7 @@ impl Clone for PhysMem {
     /// one of the clones writes.
     fn clone(&self) -> Self {
         PhysMem {
-            pages: Arc::clone(&self.pages),
+            pages: Rc::clone(&self.pages),
             next_frame: self.next_frame,
             cow_copied: self.cow_copied.clone(),
             epoch_dirty: self.epoch_dirty.clone(),
@@ -85,7 +89,7 @@ impl PhysMem {
     /// out) so a zero PPN can act as a null sentinel in page tables.
     pub fn new() -> Self {
         PhysMem {
-            pages: Arc::new(HashMap::new()),
+            pages: Rc::new(HashMap::new()),
             next_frame: 1,
             cow_copied: Cell::new(0),
             epoch_dirty: Cell::new(0),
@@ -145,11 +149,11 @@ impl PhysMem {
     /// Whether the given page is currently shared with a snapshot (its next
     /// write will CoW-copy it).
     pub fn page_is_shared(&self, ppn: u64) -> bool {
-        Arc::strong_count(&self.pages) > 1
+        Rc::strong_count(&self.pages) > 1
             || self
                 .pages
                 .get(&ppn)
-                .is_some_and(|p| Arc::strong_count(p) > 1)
+                .is_some_and(|p| Rc::strong_count(p) > 1)
     }
 
     fn page(&self, ppn: u64) -> Option<&Page> {
@@ -158,14 +162,14 @@ impl PhysMem {
 
     /// The writable view of a page, materializing or CoW-copying as needed.
     fn page_mut(&mut self, ppn: u64) -> &mut Page {
-        if Arc::strong_count(&self.pages) > 1 {
+        if Rc::strong_count(&self.pages) > 1 {
             self.table_copies.set(self.table_copies.get() + 1);
         }
-        let table = Arc::make_mut(&mut self.pages);
+        let table = Rc::make_mut(&mut self.pages);
         let slot = match table.entry(ppn) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let slot = e.into_mut();
-                if Arc::strong_count(slot) > 1 {
+                if Rc::strong_count(slot) > 1 {
                     // First write to this page since a snapshot: copy it now.
                     self.cow_copied.set(self.cow_copied.get() + 1);
                     self.epoch_dirty.set(self.epoch_dirty.get() + 1);
@@ -176,10 +180,10 @@ impl PhysMem {
                 // A fresh materialization is epoch-dirty too: a rewind to
                 // the epoch's snapshot discards it like any other write.
                 self.epoch_dirty.set(self.epoch_dirty.get() + 1);
-                e.insert(Arc::new([0u8; PAGE]))
+                e.insert(Rc::new([0u8; PAGE]))
             }
         };
-        Arc::make_mut(slot)
+        Rc::make_mut(slot)
     }
 
     /// Reads one byte.
