@@ -5,7 +5,7 @@
 
 use super::Measurement;
 use microscope_cache::{HierarchyConfig, LineAddr, MemoryHierarchy, PAddr};
-use microscope_cpu::{Assembler, BranchPredictor, Cond, PredictorConfig, Reg};
+use microscope_cpu::{BranchPredictor, PredictorConfig};
 use microscope_mem::{PteFlags, Tlb, TlbConfig, TlbEntry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -193,26 +193,10 @@ pub fn btb_collision_experiment(trials: u32, seed: u64) -> Measurement {
     }
 }
 
-/// A small helper used by tests: a victim program with a single
-/// secret-direction branch at a controllable pc (padding with nops).
-#[allow(dead_code)]
-pub fn branch_victim(pad: usize, taken: bool) -> microscope_cpu::Program {
-    let (s, z) = (Reg(1), Reg(2));
-    let mut asm = Assembler::new();
-    for _ in 0..pad {
-        asm.nop();
-    }
-    let t = asm.label();
-    asm.imm(s, u64::from(taken)).imm(z, 0);
-    asm.branch(Cond::Ne, s, z, t);
-    asm.bind(t);
-    asm.halt();
-    asm.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use microscope_cpu::{Assembler, Cond, Reg};
 
     #[test]
     fn tlb_channel_beats_chance_but_is_noisy() {
@@ -236,6 +220,22 @@ mod tests {
     fn btb_collision_leaks_direction() {
         let m = btb_collision_experiment(40, 10);
         assert!(m.single_trace_accuracy > 0.6, "{m:?}");
+    }
+
+    /// A victim program with a single secret-direction branch at a
+    /// controllable pc (padding with nops).
+    fn branch_victim(pad: usize, taken: bool) -> microscope_cpu::Program {
+        let (s, z) = (Reg(1), Reg(2));
+        let mut asm = Assembler::new();
+        for _ in 0..pad {
+            asm.nop();
+        }
+        let t = asm.label();
+        asm.imm(s, u64::from(taken)).imm(z, 0);
+        asm.branch(Cond::Ne, s, z, t);
+        asm.bind(t);
+        asm.halt();
+        asm.finish()
     }
 
     #[test]
