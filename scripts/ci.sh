@@ -102,4 +102,19 @@ case "$perfbench_last" in
         ;;
 esac
 
+echo "== perfbench smoke: aes_extract =="
+# One second of AES extractions, the workload whose time goes to the OS
+# module's Prime+Probe handler. Every op checks the decryption and the
+# extraction's recall and precision, and op 0 must equal the set-up's
+# reference report.
+perfbench_last=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload aes_extract --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$perfbench_last" in
+    *'"correct":true'*) echo "perfbench smoke ok" ;;
+    *)
+        echo "error: perfbench aes_extract smoke failed: $perfbench_last" >&2
+        exit 1
+        ;;
+esac
+
 echo "CI OK"
