@@ -14,8 +14,12 @@
 //! * Figure-10 port contention (both SMT contexts busy, the monitor's
 //!   ambient stepping interrupt), cold and replayed from the armed
 //!   checkpoint;
+//! * Figure-10 with deferred arming, cold and replayed: the checkpoint is
+//!   captured mid-run at the arming interrupt of a run that stops when the
+//!   monitor halts;
 //! * one AES extraction with deferred arming (the victim's own stepping
-//!   interrupt, pivots, walks, primes);
+//!   interrupt, pivots, walks, primes), cold and replayed from the
+//!   checkpoint captured after `SessionStart`;
 //! * one 48-step AES extraction armed at build (the benchmark's
 //!   `aes_extract` op: every replay probes and re-primes 64 table lines);
 //! * fence-after-pipeline-flush (the post-flush blocker);
@@ -38,7 +42,7 @@
 use microscope::channels::aes_attack::{self, AesAttackConfig};
 use microscope::channels::modexp_attack::{self, ModExpAttackConfig};
 use microscope::channels::port_contention::{self, PortContentionConfig};
-use microscope::core::{AttackReport, RunRequest, SessionBuilder, SimConfig};
+use microscope::core::{AttackReport, AttackSession, RunRequest, SessionBuilder, SimConfig};
 use microscope::cpu::{
     AluOp, Assembler, Cond, ContextId, CoreConfig, FaultEvent, HwParts, InterruptEvent, Machine,
     MachineBuilder, Reg, Supervisor, SupervisorAction,
@@ -47,7 +51,7 @@ use microscope::mem::{AddressSpace, PhysMem, PteFlags, VAddr, LINE_BYTES};
 use microscope::os::WalkTuning;
 use microscope::probe::{export, CacheTier, Event, EventKind, RecorderConfig, SquashCause};
 use microscope::victims::layout::DataLayout;
-use microscope::victims::rdrand;
+use microscope::victims::{aes, control_flow, rdrand};
 
 /// 64-bit FNV-1a.
 fn fnv(s: &str) -> u64 {
@@ -127,8 +131,61 @@ fn fig10_warm(secret: bool) -> u64 {
     report_digest(&report)
 }
 
-fn aes() -> u64 {
-    let out = aes_attack::run(&AesAttackConfig {
+/// `port_contention::build_session` for the multiplication victim, with
+/// arming deferred until the victim has retired `retires` instructions.
+fn fig10_deferred_session(cfg: &PortContentionConfig, retires: u64) -> AttackSession {
+    let mut b = SessionBuilder::new();
+    b.probe(cfg.probe.expect("fig10_cfg records"));
+    let victim_asp = b.new_aspace(1);
+    let monitor_asp = b.new_aspace(2);
+    let (victim_prog, victim_layout) =
+        control_flow::build(b.phys(), victim_asp, VAddr(0x1000_0000), false);
+    let (monitor_prog, buffer) =
+        port_contention::monitor_program(b.phys(), monitor_asp, VAddr(0x2000_0000), cfg.samples);
+    b.victim(victim_prog, victim_asp);
+    b.monitor(monitor_prog, monitor_asp, Some(buffer));
+    let id = b
+        .module()
+        .provide_replay_handle(ContextId(0), victim_layout.handle);
+    let recipe = b.module().recipe_mut(id);
+    recipe.name = "port-contention".into();
+    recipe.replays_per_step = cfg.replays;
+    recipe.walk = cfg.walk;
+    recipe.handler_cycles = cfg.handler_cycles;
+    b.defer_arm(retires);
+    let mut session = b.build().expect("victim installed");
+    if let Some(every) = cfg.ambient_interrupt_retires {
+        session
+            .machine_mut()
+            .set_step_interrupt(ContextId(1), Some(every));
+    }
+    session
+}
+
+/// Figure 10 with deferred arming: the checkpoint is captured mid-run, at
+/// the arming interrupt, while the run stops when the monitor halts. With
+/// `warm`, the digest is of a second execution replayed from that
+/// checkpoint.
+fn fig10_deferred_arm(warm: bool) -> u64 {
+    let cfg = fig10_cfg();
+    let mut session = fig10_deferred_session(&cfg, 4);
+    let req = RunRequest::cold(cfg.max_cycles).until_monitor_done();
+    let cold = session.execute(req).expect("cold run");
+    assert_eq!(cold.monitor_samples.len(), 300);
+    assert!(cold.module.replays.iter().sum::<u64>() > 0);
+    let captured = session.armed_checkpoint().expect("armed mid-run").cycle();
+    assert!(captured > 0, "captured at the arming interrupt");
+    if !warm {
+        return report_digest(&cold);
+    }
+    let report = session
+        .execute(req.from_checkpoint())
+        .expect("checkpoint captured");
+    report_digest(&report)
+}
+
+fn aes_deferred_cfg() -> AesAttackConfig {
+    AesAttackConfig {
         max_steps: 6,
         defer_arm: Some(150),
         probe: Some(RecorderConfig {
@@ -136,9 +193,53 @@ fn aes() -> u64 {
             capacity: 400_000,
         }),
         ..AesAttackConfig::default()
-    });
+    }
+}
+
+fn aes() -> u64 {
+    let out = aes_attack::run(&aes_deferred_cfg());
     assert!(!out.report.module.observations.is_empty());
     report_digest(&out.report)
+}
+
+/// The session `aes_attack::run` builds, run cold and then replayed from
+/// the checkpoint the deferred arm captured after `SessionStart`. Returns
+/// the replay's digest, asserting it equals the cold run's.
+fn aes_deferred_arm_warm() -> u64 {
+    let cfg = aes_deferred_cfg();
+    let mut b = SessionBuilder::new();
+    b.sim(cfg.sim);
+    b.probe(cfg.probe.expect("recording"));
+    let aspace = b.new_aspace(1);
+    let (prog, layout) = aes::build(
+        b.phys(),
+        aspace,
+        VAddr(0x4000_0000),
+        &cfg.key,
+        cfg.size,
+        &cfg.block,
+    );
+    b.victim(prog, aspace);
+    let id = b.module().provide_replay_handle(ContextId(0), layout.rk);
+    let module = b.module();
+    module.provide_pivot(id, layout.td[0]);
+    for line in layout.all_table_lines() {
+        module.provide_monitor_addr(id, line);
+    }
+    let recipe = module.recipe_mut(id);
+    recipe.name = "aes-ttable".into();
+    recipe.replays_per_step = cfg.replays_per_step;
+    recipe.max_steps = cfg.max_steps;
+    recipe.walk = cfg.walk;
+    recipe.prime_between_replays = true;
+    recipe.handler_cycles = cfg.handler_cycles;
+    b.defer_arm(cfg.defer_arm.expect("deferred"));
+    let mut session = b.build().expect("victim installed");
+    let req = RunRequest::cold(cfg.max_cycles);
+    let cold = session.execute(req).expect("cold run");
+    let warm = session.execute(req.from_checkpoint()).expect("replay");
+    assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
+    report_digest(&warm)
 }
 
 /// One 48-step AES extraction armed at build, as the benchmark runs it:
@@ -452,13 +553,18 @@ fn store_load_same_cycle() -> u64 {
     machine_digest(&m)
 }
 
-/// `(case, digest recorded before the event-driven core)`.
+/// `(case, digest recorded before the event-driven core)`; the deferred-arm
+/// replay cases were recorded later, before the session's run paths were
+/// merged into one driver.
 const GOLDEN: &[(&str, u64)] = &[
     ("fig10_mul_cold", 0x880252f9f3ed8222),
     ("fig10_div_cold", 0xeb9476951e622261),
     ("fig10_mul_warm", 0x880252f9f3ed8222),
     ("fig10_div_warm", 0xeb9476951e622261),
+    ("fig10_deferred_arm_cold", 0x6970b793d1f48304),
+    ("fig10_deferred_arm_warm", 0x6970b793d1f48304),
     ("aes_deferred_arm", 0x761d591afa54a361),
+    ("aes_deferred_arm_warm", 0x761d591afa54a361),
     ("aes_extract_48", 0xe5008fb4117cc6d6),
     ("leak_unfenced", 0xf78bc898442b7e54),
     ("leak_fence_after_flush", 0x2d92a83c44ddbb99),
@@ -478,7 +584,10 @@ fn run_case(name: &str) -> u64 {
         "fig10_div_cold" => fig10_cold(true),
         "fig10_mul_warm" => fig10_warm(false),
         "fig10_div_warm" => fig10_warm(true),
+        "fig10_deferred_arm_cold" => fig10_deferred_arm(false),
+        "fig10_deferred_arm_warm" => fig10_deferred_arm(true),
         "aes_deferred_arm" => aes(),
+        "aes_deferred_arm_warm" => aes_deferred_arm_warm(),
         "aes_extract_48" => aes_extract_48(),
         "leak_unfenced" => leak_victim(false),
         "leak_fence_after_flush" => leak_victim(true),
