@@ -11,13 +11,12 @@ use crate::stats::MachineStats;
 use crate::supervisor::{
     FaultEvent, HwParts, InterruptEvent, NullSupervisor, Supervisor, SupervisorAction,
 };
-use crate::trace::{TraceKind, Tracer};
 use microscope_cache::{HierarchyConfig, MemoryHierarchy, PAddr};
 use microscope_mem::{
     AddressSpace, PageFault, PageWalker, PhysMem, TlbEntry, TlbHierarchy, TlbHierarchyConfig,
     VAddr, WalkerConfig, PAGE_BYTES,
 };
-use microscope_probe::{Probe, Recorder, RecorderConfig};
+use microscope_probe::{EventKind, Probe, Recorder, RecorderConfig};
 use std::cmp::Reverse;
 
 /// SplitMix64: a tiny, high-quality mixing function for the DRBG model.
@@ -229,7 +228,6 @@ impl MachineBuilder {
                 capacity: 200_000,
             })
         });
-        let tracer = Tracer::with_probe(probe.clone());
         let contexts: Vec<Context> = self
             .contexts
             .into_iter()
@@ -249,7 +247,7 @@ impl MachineBuilder {
         let mut tlb = TlbHierarchy::new(self.tlb);
         tlb.attach_probe(probe.clone());
         let mut walker = PageWalker::new(self.walker);
-        walker.attach_probe(probe);
+        walker.attach_probe(probe.clone());
         Machine {
             cfg: self.core,
             cycle: 0,
@@ -263,7 +261,7 @@ impl MachineBuilder {
             ports: Ports::new(),
             contexts,
             supervisor: self.supervisor.unwrap_or_else(|| Box::new(NullSupervisor)),
-            tracer,
+            probe,
             next_seq: 1,
             ckpt_stats: std::cell::Cell::new(CheckpointStats::default()),
             engine: EngineStats::default(),
@@ -289,7 +287,7 @@ pub struct Machine {
     ports: Ports,
     contexts: Vec<Context>,
     supervisor: Box<dyn Supervisor>,
-    tracer: Tracer,
+    probe: Probe,
     next_seq: u64,
     /// Lifetime checkpoint-engine counters; never restored by
     /// [`Machine::restore`]. A `Cell` so [`Machine::checkpoint`] can count
@@ -353,14 +351,9 @@ impl Machine {
         &self.ports
     }
 
-    /// The event trace.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The cross-layer probe shared by the core, caches, TLBs and walker.
     pub fn probe(&self) -> &Probe {
-        self.tracer.probe()
+        &self.probe
     }
 
     /// Aggregated statistics.
@@ -440,7 +433,7 @@ impl Machine {
             ports: self.ports.clone(),
             contexts: self.contexts.clone(),
             supervisor: self.supervisor.checkpoint(),
-            recorder: self.tracer.probe().snapshot(),
+            recorder: self.probe.snapshot(),
         }
     }
 
@@ -485,7 +478,7 @@ impl Machine {
         self.hw.phys.begin_epoch();
         self.ports = cp.ports.clone();
         self.contexts = cp.contexts.clone();
-        self.tracer.probe().restore(&cp.recorder);
+        self.probe.restore(&cp.recorder);
         match &cp.supervisor {
             Some(state) => self.supervisor.restore_checkpoint(state.as_ref()),
             None => true,
@@ -501,15 +494,11 @@ impl Machine {
 
     /// Runs until every context halts or `max_cycles` elapse.
     pub fn run(&mut self, max_cycles: u64) -> RunExit {
-        let end = self.cycle.saturating_add(max_cycles);
-        loop {
-            if self.all_halted() {
-                return RunExit::AllHalted;
-            }
-            if self.cycle >= end {
-                return RunExit::MaxCycles;
-            }
-            self.advance(end);
+        self.run_until(max_cycles, |_| false);
+        if self.all_halted() {
+            RunExit::AllHalted
+        } else {
+            RunExit::MaxCycles
         }
     }
 
@@ -599,7 +588,7 @@ impl Machine {
             self.cycle = target;
             // Cold execution stamps the probe's ambient cycle every tick;
             // keep it in sync across the jump.
-            self.tracer.probe().set_cycle(target);
+            self.probe.set_cycle(target);
         }
     }
 
@@ -610,7 +599,7 @@ impl Machine {
         let now = self.cycle;
         // Ambient cycle stamp: events emitted by the memory system (which
         // has no notion of the core clock) inherit the current cycle.
-        self.tracer.probe().set_cycle(now);
+        self.probe.set_cycle(now);
         self.ports.begin_cycle();
         self.hw.hier.bank_model().begin_cycle();
         self.retire_stage(now);
@@ -712,12 +701,12 @@ impl Machine {
                 ctx.rat[dst.index()] = None;
             }
         }
-        self.tracer.record(
+        self.probe.emit_at(
             now,
-            ContextId(ci),
-            TraceKind::Retire {
+            Some(ci as u32),
+            EventKind::Retire {
                 seq: entry.seq,
-                pc: entry.pc,
+                pc: entry.pc as u64,
             },
         );
         match entry.inst {
@@ -808,12 +797,12 @@ impl Machine {
         ctx.pc = next_pc;
         ctx.fetch_stopped = false;
         ctx.fetch_stalled_until = now + self.cfg.squash_penalty + action.handler_cycles;
-        self.tracer.record(
+        self.probe.emit_at(
             now,
-            ContextId(ci),
-            TraceKind::Squash {
+            Some(ci as u32),
+            EventKind::Squash {
                 cause: SquashCause::Interrupt,
-                discarded: dropped,
+                discarded: dropped as u64,
             },
         );
     }
@@ -829,12 +818,12 @@ impl Machine {
             cycle: now,
         };
         self.contexts[ci].stats.page_faults += 1;
-        self.tracer.record(
+        self.probe.emit_at(
             now,
-            ContextId(ci),
-            TraceKind::Fault {
-                vaddr: fault.vaddr,
-                pc,
+            Some(ci as u32),
+            EventKind::FaultRaised {
+                vaddr: fault.vaddr.0,
+                pc: pc as u64,
             },
         );
         let action: SupervisorAction = self.supervisor.on_page_fault(&mut self.hw, &ev);
@@ -850,18 +839,18 @@ impl Machine {
         if self.cfg.fence_after_pipeline_flush {
             ctx.post_flush_fence = true;
         }
-        self.tracer.record(
+        self.probe.emit_at(
             now,
-            ContextId(ci),
-            TraceKind::Squash {
+            Some(ci as u32),
+            EventKind::Squash {
                 cause: SquashCause::PageFault,
-                discarded: dropped,
+                discarded: dropped as u64,
             },
         );
-        self.tracer.record(
+        self.probe.emit_at(
             now,
-            ContextId(ci),
-            TraceKind::HandlerReturn {
+            Some(ci as u32),
+            EventKind::HandlerReturn {
                 handler_cycles: action.handler_cycles,
             },
         );
@@ -890,12 +879,12 @@ impl Machine {
         if self.cfg.fence_after_pipeline_flush {
             ctx.post_flush_fence = true;
         }
-        self.tracer.record(
+        self.probe.emit_at(
             now,
-            ContextId(ci),
-            TraceKind::Squash {
+            Some(ci as u32),
+            EventKind::Squash {
                 cause: SquashCause::TxnAbort,
-                discarded: dropped,
+                discarded: dropped as u64,
             },
         );
     }
@@ -944,8 +933,8 @@ impl Machine {
             ctx.blockers.retain(|&s| s != slot);
         }
         ctx.wake_consumers(idx);
-        self.tracer
-            .record(now, ContextId(ci), TraceKind::Complete { seq });
+        self.probe
+            .emit_at(now, Some(ci as u32), EventKind::Complete { seq });
         let Some((taken, predicted, target, pc)) = branch else {
             return;
         };
@@ -961,12 +950,12 @@ impl Machine {
             if self.cfg.fence_after_pipeline_flush {
                 ctx.post_flush_fence = true;
             }
-            self.tracer.record(
+            self.probe.emit_at(
                 now,
-                ContextId(ci),
-                TraceKind::Squash {
+                Some(ci as u32),
+                EventKind::Squash {
                     cause: SquashCause::Mispredict,
-                    discarded: dropped,
+                    discarded: dropped as u64,
                 },
             );
         }
@@ -1083,8 +1072,11 @@ impl Machine {
         }
         let seq = self.contexts[ci].rob[idx].seq;
         let pc = self.contexts[ci].rob[idx].pc;
-        self.tracer
-            .record(now, ContextId(ci), TraceKind::Issue { seq, pc });
+        self.probe.emit_at(
+            now,
+            Some(ci as u32),
+            EventKind::Issue { seq, pc: pc as u64 },
+        );
         let (value, latency, fault, mem, fill_at_retire, store_value) = match inst {
             Inst::Imm { value, .. } => (value, base_lat, None, None, None, None),
             Inst::Mov { .. } => (src_vals[0], base_lat, None, None, None, None),
@@ -1349,8 +1341,11 @@ impl Machine {
                 };
                 self.contexts[ci].dispatch(entry);
                 self.contexts[ci].stats.dispatched += 1;
-                self.tracer
-                    .record(now, ContextId(ci), TraceKind::Fetch { seq, pc });
+                self.probe.emit_at(
+                    now,
+                    Some(ci as u32),
+                    EventKind::Fetch { seq, pc: pc as u64 },
+                );
                 if matches!(inst, Inst::Halt) {
                     break;
                 }
