@@ -272,64 +272,6 @@ fn monitor_session_rerun_matches_cold() {
     assert_eq!(again, cold);
 }
 
-/// The sweep-level checkpoint cache must be invisible in the outcome:
-/// a grid whose points share one session-building prefix produces a
-/// byte-identical [`digest`](microscope::core::sweep::SweepOutcome::digest)
-/// whether every point cold-builds its own session or the points after
-/// the first replay a cached armed checkpoint.
-#[test]
-fn sweep_checkpoint_cache_hits_do_not_change_digest() {
-    use microscope::core::sweep::{CheckpointCache, SweepPoint, SweepSpec};
-    use microscope::core::SimConfig;
-
-    let knobs = Knobs {
-        ops: 12,
-        handle_frac: 50,
-        replays: 4,
-        rob_small: false,
-        walk_levels: 3,
-        probe_capacity: 1_000,
-    };
-    fn grid<'a>(spec: SweepSpec<'a, u64, AttackReport>) -> SweepSpec<'a, u64, AttackReport> {
-        (0..6).fold(spec, |s, i| {
-            s.point(format!("p{i}"), SimConfig::default(), i)
-        })
-    }
-
-    let uncached = grid(SweepSpec::new(
-        "cache-invariance",
-        |_pt: &SweepPoint<u64>| {
-            Ok(build(&knobs)
-                .execute(RunRequest::cold(BUDGET))
-                .expect("a cold run cannot fail"))
-        },
-    ))
-    .jobs(3)
-    .run();
-
-    let cache = CheckpointCache::new();
-    let cached = grid(SweepSpec::new(
-        "cache-invariance",
-        |_pt: &SweepPoint<u64>| {
-            // Every point shares the same build prefix, hence one cache key.
-            Ok(cache.execute(0, || build(&knobs), RunRequest::cold(BUDGET))?)
-        },
-    ))
-    .jobs(1)
-    .run();
-
-    assert_eq!(cached.digest(), uncached.digest());
-    assert_eq!(cache.misses(), 1, "one cold build arms the checkpoint");
-    assert_eq!(cache.hits(), 5, "every later point replays it");
-    // The hit/miss counters surface as metrics, outside the digest.
-    let m = cache.metrics();
-    assert_eq!(
-        m.get("checkpoint.cache_hits"),
-        Some(microscope::probe::MetricValue::Count(5))
-    );
-    assert!(!cached.digest().contains("cache_hits"));
-}
-
 /// Property 3: the ring's counted-drops invariant. A roomy ring captures
 /// the whole stream; a tiny ring over the same execution must satisfy
 /// `recorded == capacity` and `recorded + dropped == full stream length`.
