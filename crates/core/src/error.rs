@@ -10,6 +10,7 @@
 //! [`std::error::Error::source`], and every type is `Send + Sync +
 //! 'static` (pinned by `tests/api_surface.rs`).
 
+use microscope_mem::{PageFault, VAddr};
 use std::error::Error;
 use std::fmt;
 
@@ -22,6 +23,18 @@ pub enum BuildError {
     /// ([`SessionBuilder::victim`](crate::SessionBuilder::victim) was
     /// never called) — there is nothing to attack.
     NoVictim,
+    /// A page of the monitor's sample buffer does not translate in the
+    /// monitor's address space, so the report could not read the samples
+    /// back.
+    MonitorBufferUnmapped {
+        /// Base of the buffer, as passed to
+        /// [`SessionBuilder::monitor`](crate::SessionBuilder::monitor).
+        base: VAddr,
+        /// Number of 8-byte samples in the buffer.
+        samples: u64,
+        /// The fault a read of the first unmapped page raises.
+        fault: PageFault,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -34,11 +47,30 @@ impl fmt::Display for BuildError {
                      (call SessionBuilder::victim first)"
                 )
             }
+            BuildError::MonitorBufferUnmapped {
+                base,
+                samples,
+                fault,
+            } => {
+                write!(
+                    f,
+                    "session build failed: the monitor buffer at {base} \
+                     ({samples} samples) is not mapped in the monitor's \
+                     address space: {fault}"
+                )
+            }
         }
     }
 }
 
-impl Error for BuildError {}
+impl Error for BuildError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            BuildError::NoVictim => None,
+            BuildError::MonitorBufferUnmapped { fault, .. } => Some(fault),
+        }
+    }
+}
 
 /// Why [`AttackSession::execute`](crate::AttackSession::execute) could not
 /// carry out a [`RunRequest`](crate::RunRequest).
