@@ -38,6 +38,7 @@ use microscope_core::{AttackSession, RunRequest, SessionBuilder, SimConfig};
 use microscope_cpu::{Assembler, ContextId, Reg};
 use microscope_mem::{PAddr, PteFlags, VAddr, PAGE_BYTES};
 use microscope_os::WalkTuning;
+use microscope_probe::json::escape;
 use std::time::Instant;
 
 /// One measured workload, ready to serialize.
@@ -341,15 +342,15 @@ fn render(mode: &str, workloads: &[Workload]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"microscope-bench-replay-v1\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json::escape(mode)));
+    out.push_str(&format!("  \"mode\": \"{}\",\n", escape(mode)));
     out.push_str("  \"workloads\": {\n");
     for (wi, w) in workloads.iter().enumerate() {
-        out.push_str(&format!("    \"{}\": {{\n", json::escape(w.name)));
+        out.push_str(&format!("    \"{}\": {{\n", escape(w.name)));
         for (mi, (k, v)) in w.metrics.iter().enumerate() {
             let sep = if mi + 1 == w.metrics.len() { "" } else { "," };
             // f64 Display never yields NaN/inf here (rates are clamped),
             // so the emitted token is always a valid JSON number.
-            out.push_str(&format!("      \"{}\": {v}{sep}\n", json::escape(k)));
+            out.push_str(&format!("      \"{}\": {v}{sep}\n", escape(k)));
         }
         let sep = if wi + 1 == workloads.len() { "" } else { "," };
         out.push_str(&format!("    }}{sep}\n"));

@@ -260,23 +260,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes a string for embedding in emitted JSON.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,7 +295,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_parse() {
         let raw = "a\"b\\c\nd\u{1}";
-        let doc = format!("{{\"k\":\"{}\"}}", escape(raw));
+        let doc = format!("{{\"k\":\"{}\"}}", microscope_probe::json::escape(raw));
         let v = parse(&doc).expect("escaped string parses");
         assert_eq!(v.get("k").and_then(Json::as_str), Some(raw));
     }
