@@ -102,6 +102,21 @@ case "$perfbench_last" in
         ;;
 esac
 
+echo "== perfbench smoke: fig10_sample =="
+# One second of Figure-10 replays from the armed checkpoint, each an
+# execute(from_checkpoint().until_monitor_done()) call through the
+# session's run driver. Every op checks its report against the set-up's
+# reference, and the last line says whether all of them held.
+perfbench_last=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload fig10_sample --seed 1 --seconds 1 --trace 0 | tail -n 1)
+case "$perfbench_last" in
+    *'"correct":true'*) echo "perfbench smoke ok" ;;
+    *)
+        echo "error: perfbench fig10_sample smoke failed: $perfbench_last" >&2
+        exit 1
+        ;;
+esac
+
 echo "== perfbench smoke: aes_extract =="
 # One second of AES extractions, the workload whose time goes to the OS
 # module's Prime+Probe handler. Every op checks the decryption and the
