@@ -108,10 +108,7 @@ pub fn validate_plan(
     let HandleKind::PageFault { vaddr, .. } = plan.handle.kind else {
         return Err(ValidateError::UnsupportedHandle(plan.handle.kind));
     };
-    builder.probe(RecorderConfig {
-        enabled: true,
-        capacity: 500_000,
-    });
+    builder.probe(RecorderConfig::with_capacity(500_000));
     let id = builder.module().provide_replay_handle(ContextId(0), vaddr);
     {
         let recipe = builder.module().recipe_mut(id);
@@ -155,10 +152,7 @@ pub fn baseline_executions(
     pc: usize,
     max_cycles: u64,
 ) -> Result<u64, ValidateError> {
-    builder.probe(RecorderConfig {
-        enabled: true,
-        capacity: 500_000,
-    });
+    builder.probe(RecorderConfig::with_capacity(500_000));
     let mut session = builder.build().map_err(ValidateError::Build)?;
     let report = session
         .execute(RunRequest::cold(max_cycles))

@@ -29,7 +29,6 @@
 //! `--smoke` shrinks every workload for CI; `--validate` parses an
 //! existing emit, checks the schema, and exits (no simulation).
 
-use microscope_bench::json::{self, Json};
 use microscope_bench::{extract_flag, extract_flag_value, parse_or_exit};
 use microscope_channels::port_contention::{self, PortContentionConfig};
 use microscope_channels::taxonomy;
@@ -38,7 +37,7 @@ use microscope_core::{AttackSession, RunRequest, SessionBuilder, SimConfig};
 use microscope_cpu::{Assembler, ContextId, Reg};
 use microscope_mem::{PAddr, PteFlags, VAddr, PAGE_BYTES};
 use microscope_os::WalkTuning;
-use microscope_probe::json::escape;
+use microscope_probe::json::{self, escape, Json};
 use std::time::Instant;
 
 /// One measured workload, ready to serialize.

@@ -16,8 +16,6 @@
 //! | `sec8_analyze` | static attack-plan analysis, validated in-simulator |
 //! | `perf_bench` | simulator perf trajectory — emits `BENCH_replay.json` |
 
-pub mod json;
-
 /// Renders a latency series as a compact ASCII scatter summary: count per
 /// bucket, plus min/median/p99/max.
 pub fn summarize_latencies(name: &str, samples: &[u64]) -> String {

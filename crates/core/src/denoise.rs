@@ -8,8 +8,7 @@
 //! * threshold calibration from a baseline distribution (Figure 10 sets the
 //!   contention threshold "slightly less than 120 cycles" from the
 //!   multiplication victim's samples),
-//! * over-threshold counting and ratio classification (the 64-vs-4, "16×"
-//!   result of §6.1),
+//! * over-threshold counting (the 64-vs-4, "16×" result of §6.1),
 //! * per-line majority voting across replays for cache attacks (§6.2's
 //!   "after several replays, the Replayer can reliably deduce the lines").
 
@@ -47,39 +46,6 @@ pub fn calibrate_threshold(baseline: &[u64], p: f64, margin: u64) -> u64 {
 /// How many samples exceed the threshold.
 pub fn count_over(samples: &[u64], threshold: u64) -> usize {
     samples.iter().filter(|s| **s > threshold).count()
-}
-
-/// Outcome of comparing two over-threshold counts (contended vs baseline).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ContentionVerdict {
-    /// Samples over threshold under measurement.
-    pub measured_over: usize,
-    /// Samples over threshold in the baseline.
-    pub baseline_over: usize,
-    /// `measured_over / max(baseline_over, 1)`.
-    pub ratio: f64,
-    /// Whether contention was detected.
-    pub contended: bool,
-}
-
-/// Classifies contention by the over-threshold ratio, as §6.1 does (the
-/// paper observes a 16× gap between the division and multiplication
-/// victims and calls them "clearly distinguishable").
-pub fn classify_contention(
-    measured: &[u64],
-    baseline: &[u64],
-    threshold: u64,
-    min_ratio: f64,
-) -> ContentionVerdict {
-    let measured_over = count_over(measured, threshold);
-    let baseline_over = count_over(baseline, threshold);
-    let ratio = measured_over as f64 / baseline_over.max(1) as f64;
-    ContentionVerdict {
-        measured_over,
-        baseline_over,
-        ratio,
-        contended: ratio >= min_ratio,
-    }
 }
 
 /// Majority vote across a step's replays: returns the addresses classified
@@ -146,19 +112,6 @@ mod tests {
         let t = calibrate_threshold(&baseline, 1.0, 5);
         assert_eq!(t, 60);
         assert_eq!(count_over(&[59, 60, 61, 200], t), 2);
-    }
-
-    #[test]
-    fn contention_classification_matches_paper_shape() {
-        // Baseline: 4 outliers of 10_000. Measured: 64 outliers (16x).
-        let mut baseline = vec![50u64; 9996];
-        baseline.extend([200; 4]);
-        let mut measured = vec![50u64; 9936];
-        measured.extend([200; 64]);
-        let t = calibrate_threshold(&baseline, 0.999, 10);
-        let v = classify_contention(&measured, &baseline, t, 8.0);
-        assert!(v.contended);
-        assert!(v.ratio >= 15.0, "ratio {}", v.ratio);
     }
 
     fn obs(step: u64, replay: u64, probes: Vec<(u64, u64)>) -> Observation {

@@ -22,7 +22,8 @@ pub struct AttackReport {
     /// `(division issues, divider wait cycles)` — aggregate port-contention
     /// ground truth for calibration tests.
     pub div_stats: (u64, u64),
-    /// The cross-layer event trace (empty unless tracing was enabled).
+    /// The cross-layer event trace (empty unless the session was built
+    /// with a `RecorderConfig`).
     pub trace: Vec<Event>,
     /// Events overwritten because the trace ring filled up.
     pub dropped_events: u64,
@@ -121,7 +122,7 @@ impl AttackReport {
     /// (began execution) during the run, counting squashed-and-replayed
     /// executions — the ground truth a static attack plan is validated
     /// against: a transmitter predicted replayable must issue more than
-    /// once. Requires tracing to have been enabled.
+    /// once. Requires a recorded trace (`SessionBuilder::probe`).
     pub fn executions_of(&self, ctx: u32, pc: usize) -> u64 {
         self.trace
             .iter()

@@ -105,8 +105,9 @@ impl SessionBuilder {
         &mut self.sim
     }
 
-    /// Overrides the cross-layer probe configuration. Without this, the
-    /// probe is enabled iff `CoreConfig::trace` is set.
+    /// Records the session's cross-layer event stream into a ring sized by
+    /// `cfg`; the report carries it as `trace`. Without this, nothing is
+    /// recorded.
     pub fn probe(&mut self, cfg: RecorderConfig) -> &mut Self {
         self.probe = Some(cfg);
         self
@@ -132,10 +133,7 @@ impl SessionBuilder {
             check_mapped(&self.phys, *asp, *buf)?;
         }
         let shared = self.module.shared();
-        let probe = Probe::new(self.probe.unwrap_or(RecorderConfig {
-            enabled: self.sim.core.trace,
-            capacity: 200_000,
-        }));
+        let probe = self.probe.map_or_else(Probe::disabled, Probe::new);
         let mut mb = MachineBuilder::new()
             .core_config(self.sim.core)
             .hierarchy(self.sim.hierarchy)

@@ -16,7 +16,7 @@ use microscope_mem::{
     AddressSpace, PageFault, PageWalker, PhysMem, TlbEntry, TlbHierarchy, TlbHierarchyConfig,
     VAddr, WalkerConfig, PAGE_BYTES,
 };
-use microscope_probe::{EventKind, Probe, Recorder, RecorderConfig};
+use microscope_probe::{EventKind, Probe, Recorder};
 use std::cmp::Reverse;
 
 /// SplitMix64: a tiny, high-quality mixing function for the DRBG model.
@@ -204,8 +204,9 @@ impl MachineBuilder {
         self
     }
 
-    /// Shares an existing cross-layer probe with the machine. Without this,
-    /// the machine creates a private probe, enabled iff `CoreConfig::trace`.
+    /// Shares a cross-layer probe with the machine; its events land in the
+    /// same stream as the other layers'. Without this, the machine records
+    /// nothing ([`Probe::disabled`]).
     pub fn probe(mut self, probe: Probe) -> Self {
         self.probe = Some(probe);
         self
@@ -222,12 +223,7 @@ impl MachineBuilder {
             "machine needs at least one context"
         );
         let mut phys = self.phys.unwrap_or_default();
-        let probe = self.probe.unwrap_or_else(|| {
-            Probe::new(RecorderConfig {
-                enabled: self.core.trace,
-                capacity: 200_000,
-            })
-        });
+        let probe = self.probe.unwrap_or_else(Probe::disabled);
         let contexts: Vec<Context> = self
             .contexts
             .into_iter()

@@ -23,12 +23,6 @@ fn write_virt(phys: &mut PhysMem, asp: AddressSpace, va: VAddr, value: u64) {
     phys.write_u64(t.paddr, value);
 }
 
-#[allow(dead_code)] // handy in ad-hoc debugging sessions
-fn read_virt(phys: &PhysMem, asp: AddressSpace, va: VAddr) -> u64 {
-    let t = asp.translate(phys, va, false).unwrap();
-    phys.read_u64(t.paddr)
-}
-
 #[test]
 fn arithmetic_program_computes_architecturally() {
     let mut asm = Assembler::new();

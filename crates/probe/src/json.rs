@@ -1,12 +1,14 @@
-//! Hand-rolled JSON helpers.
+//! The workspace's one JSON implementation.
 //!
 //! DESIGN.md §5 forbids new dependencies, so the exporters build JSON by
-//! string assembly. This module centralizes number and string writing
-//! plus a small recursive-descent validator used by tests (and callers
-//! who want a sanity check) to guarantee the assembled output actually
-//! parses.
+//! string assembly. This module holds the number and string writers they
+//! use, and one RFC 8259 reader with two entry points: [`parse`] builds a
+//! [`Json`] tree (the bench harness reads its emit back with it) and
+//! [`validate`] checks a document by the same grammar without building
+//! anything.
 
-use std::fmt::Write;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write};
 
 /// `"00" "01" .. "99"`: the two decimal digits of every value below 100.
 const DIGIT_PAIRS: &str = concat!(
@@ -77,179 +79,372 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Validates that `input` is one complete JSON value.
-///
-/// Minimal by design: checks structure, string escapes and number syntax;
-/// rejects trailing garbage. Good enough to prove exporter output loads.
-pub fn validate(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
+/// A parsed JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number, as the nearest `f64`.
+    Num(f64),
+    /// A string, unescaped.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object. `BTreeMap` keeps iteration deterministic; a repeated
+    /// key keeps its last value.
+    Obj(BTreeMap<String, Json>),
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos:?}")),
-        None => Err("unexpected end of input".into()),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos:?}"));
+impl Json {
+    /// Member lookup on an object (`None` on non-objects/missing keys).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(m) => m.get(key),
+            _ => None,
         }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos:?}")),
+    }
+
+    /// Walks a `.`-separated path of object keys.
+    pub fn path(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |v, k| v.get(k))
+    }
+
+    /// The numeric value, if this is a number.
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The string value, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos:?}")),
-        }
+/// Where and why a document failed to parse.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the failure.
+    pub at: usize,
+    /// What went wrong.
+    pub msg: &'static str,
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid JSON at byte {}: {}", self.at, self.msg)
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos:?}"));
+impl std::error::Error for JsonError {}
+
+/// Parses one complete JSON document into a [`Json`] tree; trailing
+/// data is an error.
+pub fn parse(input: &str) -> Result<Json, JsonError> {
+    let mut p = Parser::<true>::new(input);
+    p.document()?;
+    Ok(p.built.pop().expect("a parsed document leaves one value"))
+}
+
+/// Checks that `input` is one complete JSON document, by the same
+/// grammar as [`parse`], without building the tree: it allocates nothing,
+/// so it stays cheap on multi-megabyte exports.
+pub fn validate(input: &str) -> Result<(), JsonError> {
+    Parser::<false>::new(input).document()
+}
+
+/// How deeply arrays and objects may nest. The scanner recurses once per
+/// level, so a bound keeps a hostile document an error, not a stack
+/// overflow.
+const MAX_DEPTH: u32 = 128;
+
+/// One recursive-descent scanner for both entry points. The scan itself
+/// returns nothing; with `BUILD` set, each value it finishes is pushed
+/// onto `built`, and a closing bracket folds its members (keys and values
+/// alternating, for an object) into one container. With `BUILD` clear,
+/// `built` is never touched and nothing is allocated.
+struct Parser<'a, const BUILD: bool> {
+    text: &'a str,
+    pos: usize,
+    depth: u32,
+    built: Vec<Json>,
+}
+
+impl<'a, const BUILD: bool> Parser<'a, BUILD> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            pos: 0,
+            depth: 0,
+            built: Vec::new(),
+        }
     }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') | Some(b'\\') | Some(b'/') | Some(b'b') | Some(b'f')
-                    | Some(b'n') | Some(b'r') | Some(b't') => *pos += 1,
-                    Some(b'u') => {
-                        for i in 1..=4 {
-                            if !b
-                                .get(*pos + i)
-                                .map(|c| c.is_ascii_hexdigit())
-                                .unwrap_or(false)
-                            {
-                                return Err(format!("bad \\u escape at byte {pos:?}"));
-                            }
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos:?}")),
+
+    fn document(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        self.value()?;
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return self.fail("trailing data after the document");
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn fail<T>(&self, msg: &'static str) -> Result<T, JsonError> {
+        Err(JsonError { at: self.pos, msg })
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consumes `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn value(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => self.string(),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(_) => self.fail("expected a JSON value"),
+            None => self.fail("unexpected end of input"),
+        }
+    }
+
+    /// Steps into an array or object, the cursor on its opening bracket.
+    fn enter(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return self.fail("arrays and objects nested too deep");
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn object(&mut self) -> Result<(), JsonError> {
+        self.enter()?;
+        let base = self.built.len();
+        self.skip_ws();
+        if !self.eat(b'}') {
+            loop {
+                self.skip_ws();
+                if self.peek() != Some(b'"') {
+                    return self.fail("expected a string");
+                }
+                self.string()?;
+                self.skip_ws();
+                if !self.eat(b':') {
+                    return self.fail("expected ':'");
+                }
+                self.skip_ws();
+                self.value()?;
+                self.skip_ws();
+                if self.eat(b'}') {
+                    break;
+                }
+                if !self.eat(b',') {
+                    return self.fail("expected ',' or '}'");
                 }
             }
-            c if c < 0x20 => return Err(format!("raw control byte in string at {pos:?}")),
-            _ => *pos += 1,
         }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    let bad = || Err(format!("bad number at byte {start}"));
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    // RFC 8259: int = "0" / digit1-9 *DIGIT, frac = "." 1*DIGIT,
-    // exp = ("e" / "E") ["-" / "+"] 1*DIGIT.
-    match b.get(*pos) {
-        Some(b'0') => *pos += 1,
-        Some(b'1'..=b'9') => {
-            skip_digits(b, pos);
+        if BUILD {
+            let mut map = BTreeMap::new();
+            let mut members = self.built.split_off(base).into_iter();
+            while let (Some(Json::Str(key)), Some(v)) = (members.next(), members.next()) {
+                map.insert(key, v);
+            }
+            self.built.push(Json::Obj(map));
         }
-        _ => return bad(),
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if skip_digits(b, pos) == 0 {
-            return bad();
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e') | Some(b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+') | Some(b'-')) {
-            *pos += 1;
-        }
-        if skip_digits(b, pos) == 0 {
-            return bad();
-        }
-    }
-    Ok(())
-}
-
-/// Advances past a run of ASCII digits and returns its length.
-fn skip_digits(b: &[u8], pos: &mut usize) -> usize {
-    let start = *pos;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    *pos - start
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
+        self.depth -= 1;
         Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos:?}"))
+    }
+
+    fn array(&mut self) -> Result<(), JsonError> {
+        self.enter()?;
+        let base = self.built.len();
+        self.skip_ws();
+        if !self.eat(b']') {
+            loop {
+                self.skip_ws();
+                self.value()?;
+                self.skip_ws();
+                if self.eat(b']') {
+                    break;
+                }
+                if !self.eat(b',') {
+                    return self.fail("expected ',' or ']'");
+                }
+            }
+        }
+        if BUILD {
+            let items = self.built.split_off(base);
+            self.built.push(Json::Arr(items));
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Scans a string literal, the cursor on its opening quote.
+    /// Unescaped runs are copied as whole `&str` slices, so decoding is
+    /// linear in the literal's length.
+    fn string(&mut self) -> Result<(), JsonError> {
+        self.pos += 1; // '"'
+        let mut out = String::new();
+        loop {
+            let run = self.pos;
+            while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                self.pos += 1;
+            }
+            if BUILD {
+                // The run ends at an ASCII byte or the end, both char
+                // boundaries.
+                out.push_str(&self.text[run..self.pos]);
+            }
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    if BUILD {
+                        self.built.push(Json::Str(out));
+                    }
+                    return Ok(());
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let c = self.escape()?;
+                    if BUILD {
+                        out.push(c);
+                    }
+                }
+                Some(_) => return self.fail("raw control byte in string"),
+                None => return self.fail("unterminated string"),
+            }
+        }
+    }
+
+    /// Decodes the escape after a backslash. A `\uD8xx\uDCxx` surrogate
+    /// pair is one scalar; a lone surrogate, which RFC 8259 lets through,
+    /// becomes U+FFFD.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                if (0xd800..0xdc00).contains(&hi)
+                    && self.text.as_bytes()[self.pos..].starts_with(b"\\u")
+                {
+                    let back = self.pos;
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if (0xdc00..0xe000).contains(&lo) {
+                        let scalar = 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00);
+                        return Ok(char::from_u32(scalar).expect("a surrogate pair is a scalar"));
+                    }
+                    self.pos = back;
+                }
+                return Ok(char::from_u32(hi).unwrap_or('\u{fffd}'));
+            }
+            _ => return self.fail("bad escape"),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Reads exactly four hex digits.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let mut v = 0;
+        for _ in 0..4 {
+            match self.peek().and_then(|c| char::from(c).to_digit(16)) {
+                Some(d) => v = v << 4 | d,
+                None => return self.fail("bad \\u escape"),
+            }
+            self.pos += 1;
+        }
+        Ok(v)
+    }
+
+    /// RFC 8259: `int = "0" / digit1-9 *DIGIT`, `frac = "." 1*DIGIT`,
+    /// `exp = ("e" / "E") ["-" / "+"] 1*DIGIT`.
+    fn number(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        self.eat(b'-');
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return self.fail("bad number"),
+        }
+        if self.eat(b'.') && self.digits() == 0 {
+            return self.fail("bad number");
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return self.fail("bad number");
+            }
+        }
+        if BUILD {
+            let n = self.text[start..self.pos].parse();
+            self.built
+                .push(Json::Num(n.expect("RFC 8259 numbers parse as f64")));
+        }
+        Ok(())
+    }
+
+    /// Advances past a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    fn literal(&mut self, word: &str, v: Json) -> Result<(), JsonError> {
+        if !self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            return self.fail("bad literal");
+        }
+        self.pos += word.len();
+        if BUILD {
+            self.built.push(v);
+        }
+        Ok(())
     }
 }
 
@@ -257,64 +452,124 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// Every row goes through both entry points, which must agree.
+    const ACCEPT: &[&str] = &[
+        "{}",
+        "[]",
+        "{\"a\":[1,2.5,-3,1e9],\"b\":{\"c\":null,\"d\":true}}",
+        "\"lone string\"",
+        "  42  ",
+        "0",
+        "-0",
+        "-0.5e3",
+        "1E+9",
+        "10",
+        "0.25",
+        "2e-7",
+        "[0,-1,1.5]",
+        r#"{"schema":"v1","w":{"fig10":{"speedup":3.5,"iters":4}},"ok":true}"#,
+        r#"[1, -2.5e3, "a\"b\n", null, false]"#,
+        r#""\ud83d\ude00""#,
+        r#""\ud800x""#,
+        "\"caf\u{e9} \u{1F600}\"",
+    ];
+
+    const REJECT: &[&str] = &[
+        "",
+        "{",
+        "{\"a\":}",
+        "[1,]",
+        "tru",
+        "1 2",
+        "\"\\x\"",
+        "1.",
+        "1e",
+        "1e+",
+        "01",
+        "-01",
+        "[1.,2]",
+        "{\"a\":1.}",
+        "-",
+        ".5",
+        "1.e3",
+        "+1",
+        "{\"a\":1} x",
+        "\"unterminated",
+        "{oops}",
+        "\"a\u{1}b\"",
+        r#""\u+abc""#,
+        r#""\ud83d\u+abc""#,
+    ];
+
     #[test]
-    fn escape_round_trips_through_validate() {
-        let nasty = "a\"b\\c\nd\te\u{1}f";
-        let mut s = String::from("{\"k\":\"");
-        push_escaped(&mut s, nasty);
-        s.push_str("\"}");
-        validate(&s).expect("escaped string parses");
+    fn parse_and_validate_share_one_grammar() {
+        for ok in ACCEPT {
+            validate(ok).unwrap_or_else(|e| panic!("validate {ok:?}: {e}"));
+            parse(ok).unwrap_or_else(|e| panic!("parse {ok:?}: {e}"));
+        }
+        for bad in REJECT {
+            assert!(validate(bad).is_err(), "validate accepted {bad:?}");
+            assert!(parse(bad).is_err(), "parse accepted {bad:?}");
+        }
     }
 
     #[test]
-    fn validator_accepts_typical_documents() {
-        for ok in [
-            "{}",
-            "[]",
-            "{\"a\":[1,2.5,-3,1e9],\"b\":{\"c\":null,\"d\":true}}",
-            "\"lone string\"",
-            "  42  ",
-        ] {
-            validate(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
-        }
+    fn nesting_is_bounded_in_both_entry_points() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let deepest = nest(MAX_DEPTH as usize);
+        validate(&deepest).expect("128 levels validate");
+        parse(&deepest).expect("128 levels parse");
+        let too_deep = nest(MAX_DEPTH as usize + 1);
+        assert_eq!(validate(&too_deep).expect_err("129 levels").at, 128);
+        assert_eq!(parse(&too_deep).expect_err("129 levels").at, 128);
+        assert!(validate(&"[{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]
-    fn validator_rejects_garbage() {
-        for bad in ["{", "{\"a\":}", "[1,]", "tru", "1 2", "\"\\x\""] {
-            assert!(validate(bad).is_err(), "{bad} should fail");
-        }
+    fn errors_name_the_byte_and_the_reason() {
+        let err = parse("{oops}").expect_err("bare key");
+        assert_eq!(err, validate("{oops}").expect_err("bare key"));
+        assert_eq!(err.to_string(), "invalid JSON at byte 1: expected a string");
     }
 
     #[test]
-    fn validator_follows_the_rfc_number_grammar() {
-        for ok in [
-            "0",
-            "-0",
-            "-0.5e3",
-            "1E+9",
-            "10",
-            "0.25",
-            "2e-7",
-            "[0,-1,1.5]",
-        ] {
-            validate(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
-        }
-        for bad in [
-            "1.",
-            "1e",
-            "1e+",
-            "01",
-            "-01",
-            "[1.,2]",
-            "{\"a\":1.}",
-            "-",
-            ".5",
-            "1.e3",
-            "+1",
-        ] {
-            assert!(validate(bad).is_err(), "{bad} should fail");
-        }
+    fn parses_the_bench_shapes() {
+        let v = parse(r#"{"schema":"v1","w":{"fig10":{"speedup":3.5,"iters":4}},"ok":true}"#)
+            .expect("well-formed");
+        assert_eq!(v.path("w.fig10.speedup").and_then(Json::as_num), Some(3.5));
+        assert_eq!(v.get("schema").and_then(Json::as_str), Some("v1"));
+        assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(v.path("w.missing"), None);
+        let Json::Arr(items) = parse(r#"[1, -2.5e3, "a\"b\n", null, false]"#).expect("well-formed")
+        else {
+            panic!("array")
+        };
+        assert_eq!(items[1], Json::Num(-2500.0));
+        assert_eq!(items[2], Json::Str("a\"b\n".into()));
+        assert_eq!(items[3], Json::Null);
+    }
+
+    #[test]
+    fn strings_decode_to_scalars() {
+        let decoded = |doc: &str| parse(doc).expect("well-formed").as_str().map(String::from);
+        assert_eq!(decoded(r#""\ud83d\ude00""#).as_deref(), Some("\u{1F600}"));
+        assert_eq!(decoded(r#""\ud800x""#).as_deref(), Some("\u{fffd}x"));
+        assert_eq!(
+            decoded("\"caf\u{e9} \u{1F600}\"").as_deref(),
+            Some("caf\u{e9} \u{1F600}")
+        );
+        assert_eq!(
+            decoded(r#""\ud83d\u0041\/\b\f""#).as_deref(),
+            Some("\u{fffd}A/\u{8}\u{c}")
+        );
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        let raw = "a\"b\\c\nd\te\u{1}f\u{1F600}";
+        let doc = format!("{{\"k\":\"{}\"}}", escape(raw));
+        let v = parse(&doc).expect("escaped string parses");
+        assert_eq!(v.get("k").and_then(Json::as_str), Some(raw));
     }
 
     #[test]

@@ -116,22 +116,6 @@ impl MetricSet {
         }
         out
     }
-
-    /// A single flat JSON object keyed by metric name.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            crate::json::push_escaped(&mut out, name);
-            out.push_str("\":");
-            value.write_json(&mut out);
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// Implemented by stats structs that can contribute to a [`MetricSet`].
@@ -156,14 +140,12 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_and_json_are_parseable() {
+    fn jsonl_lines_are_parseable() {
         let mut m = MetricSet::new();
         m.set_count("cpu.retired", 42);
         m.set_gauge("cache.l1.hit_rate", 0.875);
         for line in m.to_jsonl().lines() {
             crate::json::validate(line).expect("jsonl line parses");
         }
-        crate::json::validate(&m.to_json()).expect("object parses");
-        assert!(m.to_json().contains("\"cpu.retired\":42"));
     }
 }

@@ -13,11 +13,10 @@ use crate::event::{Event, EventKind};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Recorder sizing/enable knobs.
+/// Recorder sizing. A probe built from one always records; a layer
+/// that should record nothing gets [`Probe::disabled`] instead.
 #[derive(Clone, Copy, Debug)]
 pub struct RecorderConfig {
-    /// Master switch. A probe built from a disabled config is a no-op.
-    pub enabled: bool,
     /// Ring capacity in events. Oldest events are overwritten (and
     /// counted) once the ring is full.
     pub capacity: usize,
@@ -25,26 +24,14 @@ pub struct RecorderConfig {
 
 impl Default for RecorderConfig {
     fn default() -> Self {
-        RecorderConfig {
-            enabled: true,
-            capacity: 200_000,
-        }
+        RecorderConfig { capacity: 200_000 }
     }
 }
 
 impl RecorderConfig {
-    /// A disabled recorder.
-    pub fn disabled() -> Self {
-        RecorderConfig {
-            enabled: false,
-            capacity: 0,
-        }
-    }
-
-    /// An enabled recorder with the given ring capacity.
+    /// A recorder with the given ring capacity (at least one event).
     pub fn with_capacity(capacity: usize) -> Self {
         RecorderConfig {
-            enabled: true,
             capacity: capacity.max(1),
         }
     }
@@ -154,14 +141,10 @@ pub struct Probe {
 }
 
 impl Probe {
-    /// Builds a probe from a config (`None` inside when disabled).
+    /// Builds a recording probe with a ring sized by `cfg`.
     pub fn new(cfg: RecorderConfig) -> Self {
-        if cfg.enabled {
-            Probe {
-                inner: Some(Rc::new(RefCell::new(Recorder::new(cfg.capacity)))),
-            }
-        } else {
-            Probe { inner: None }
+        Probe {
+            inner: Some(Rc::new(RefCell::new(Recorder::new(cfg.capacity)))),
         }
     }
 

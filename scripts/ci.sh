@@ -83,6 +83,19 @@ rm -f "$BENCH_TMP"
 # The committed baseline at the repo root must stay parseable too.
 cargo run -q --release -p microscope-bench --bin perf_bench -- --validate BENCH_replay.json
 
+echo "== bench emit gate rejects malformed JSON =="
+# The same file with a leading zero in one number ("iters": 06), which
+# RFC 8259 forbids: the gate must refuse it, not read it as 6.
+BENCH_BAD="${TMPDIR:-/tmp}/BENCH_replay.leading-zero.json"
+sed 's/"iters": 6,/"iters": 06,/' BENCH_replay.json > "$BENCH_BAD"
+grep -q '"iters": 06,' "$BENCH_BAD" || { echo "BENCH_replay.json has no \"iters\": 6 to rewrite" >&2; exit 1; }
+if cargo run -q --release -p microscope-bench --bin perf_bench -- --validate "$BENCH_BAD" 2>/dev/null; then
+    echo "error: perf_bench --validate accepted a number with a leading zero" >&2
+    exit 1
+fi
+echo "leading-zero emit rejected"
+rm -f "$BENCH_BAD"
+
 echo "== perfbench build =="
 # perfbench is a package of its own outside the workspace, so the steps
 # above never compile it; a probe or core API change could break it unseen.

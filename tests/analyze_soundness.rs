@@ -82,10 +82,7 @@ fn build_victim(shape: &Shape) -> (Program, usize, usize) {
 /// Installs `shape`'s memory image and victim into a fresh builder.
 fn session_for(shape: &Shape) -> (SessionBuilder, Program, usize, usize) {
     let mut b = SessionBuilder::new();
-    b.probe(RecorderConfig {
-        enabled: true,
-        capacity: 200_000,
-    });
+    b.probe(RecorderConfig::default());
     let aspace = b.new_aspace(1);
     for page in [SECRET_PAGE, HANDLE_PAGE, TABLE_PAGE] {
         aspace.alloc_map(b.phys(), page, PAGE_BYTES, PteFlags::user_data());

@@ -59,10 +59,7 @@ fn build(k: &Knobs) -> AttackSession {
         rob_size: if k.rob_small { 64 } else { 224 },
         ..CoreConfig::default()
     };
-    b.probe(RecorderConfig {
-        enabled: true,
-        capacity: k.probe_capacity,
-    });
+    b.probe(RecorderConfig::with_capacity(k.probe_capacity));
     let aspace = b.new_aspace(1);
     let handle = VAddr(0x1000_0000);
     let data = VAddr(0x1000_2000);

@@ -49,7 +49,10 @@ use microscope::cpu::{
 };
 use microscope::mem::{AddressSpace, PhysMem, PteFlags, VAddr, LINE_BYTES};
 use microscope::os::WalkTuning;
-use microscope::probe::{export, CacheTier, Event, EventKind, RecorderConfig, SquashCause};
+use microscope::probe::json::{self, Json};
+use microscope::probe::{
+    export, timeline, CacheTier, Event, EventKind, Layer, Probe, RecorderConfig, SquashCause,
+};
 use microscope::victims::layout::DataLayout;
 use microscope::victims::{aes, control_flow, rdrand};
 
@@ -85,20 +88,10 @@ fn machine_digest(m: &Machine) -> u64 {
     ))
 }
 
-fn traced_core() -> CoreConfig {
-    CoreConfig {
-        trace: true,
-        ..CoreConfig::default()
-    }
-}
-
 fn fig10_cfg() -> PortContentionConfig {
     PortContentionConfig {
         samples: 300,
-        probe: Some(RecorderConfig {
-            enabled: true,
-            capacity: 400_000,
-        }),
+        probe: Some(RecorderConfig::with_capacity(400_000)),
         ..PortContentionConfig::default()
     }
 }
@@ -188,10 +181,7 @@ fn aes_deferred_cfg() -> AesAttackConfig {
     AesAttackConfig {
         max_steps: 6,
         defer_arm: Some(150),
-        probe: Some(RecorderConfig {
-            enabled: true,
-            capacity: 400_000,
-        }),
+        probe: Some(RecorderConfig::with_capacity(400_000)),
         ..AesAttackConfig::default()
     }
 }
@@ -251,10 +241,7 @@ fn aes_extract_48() -> u64 {
         max_steps: 48,
         defer_arm: None,
         walk: WalkTuning::Length { levels: 2 },
-        probe: Some(RecorderConfig {
-            enabled: true,
-            capacity: 400_000,
-        }),
+        probe: Some(RecorderConfig::with_capacity(400_000)),
         ..AesAttackConfig::default()
     });
     assert!(out.decrypted_correctly);
@@ -268,8 +255,9 @@ fn leak_victim(fence_after_flush: bool) -> u64 {
     let mut b = SessionBuilder::new();
     b.sim(SimConfig::new().with_core(CoreConfig {
         fence_after_pipeline_flush: fence_after_flush,
-        ..traced_core()
+        ..CoreConfig::default()
     }));
+    b.probe(RecorderConfig::default());
     let aspace = b.new_aspace(1);
     let mut layout = DataLayout::new(b.phys(), aspace, VAddr(0x1000_0000));
     let handle = layout.page(64);
@@ -339,8 +327,9 @@ fn rdrand_bias(fenced: bool, trial: u64) -> u64 {
         .core_config(CoreConfig {
             rdrand_is_fenced: fenced,
             rdrand_seed: 0xfeed + trial,
-            ..traced_core()
+            ..CoreConfig::default()
         })
+        .probe(Probe::new(RecorderConfig::default()))
         .phys(phys)
         .context_in(prog, aspace)
         .supervisor(Box::new(Biaser {
@@ -399,7 +388,7 @@ fn tsx_abort() -> u64 {
     asm.bind(abort);
     asm.imm(i, 0).jmp(begin);
     let mut m = MachineBuilder::new()
-        .core_config(traced_core())
+        .probe(Probe::new(RecorderConfig::default()))
         .phys(phys)
         .context_in(asm.finish(), asp)
         .supervisor(Box::new(Flusher {
@@ -433,8 +422,9 @@ fn invisible_speculation(invisible: bool) -> u64 {
     let mut b = SessionBuilder::new();
     b.sim(SimConfig::new().with_core(CoreConfig {
         invisible_speculation: invisible,
-        ..traced_core()
+        ..CoreConfig::default()
     }));
+    b.probe(RecorderConfig::default());
     let aspace = b.new_aspace(1);
     let mut layout = DataLayout::new(b.phys(), aspace, VAddr(0x1000_0000));
     let handle = layout.page(64);
@@ -469,7 +459,7 @@ fn invisible_speculation(invisible: bool) -> u64 {
 /// loads to the same and to disjoint addresses, behind a replay handle.
 fn disambiguation() -> u64 {
     let mut b = SessionBuilder::new();
-    b.sim(SimConfig::new().with_core(traced_core()));
+    b.probe(RecorderConfig::default());
     let aspace = b.new_aspace(1);
     let handle = VAddr(0x1000_0000);
     let data = VAddr(0x1000_2000);
@@ -543,7 +533,7 @@ fn store_load_same_cycle() -> u64 {
         .branch(Cond::Lt, i, n, top)
         .halt();
     let mut m = MachineBuilder::new()
-        .core_config(traced_core())
+        .probe(Probe::new(RecorderConfig::default()))
         .phys(phys)
         .context_in(asm.finish(), asp)
         .build();
@@ -784,4 +774,29 @@ fn exports_match_the_recorded_digests() {
         .map(|&(name, digest)| (name.to_string(), digest))
         .collect();
     assert_eq!(got, want, "exporter output changed");
+}
+
+/// The tree parser reads every Chrome export back record for record: one
+/// metadata record per layer plus the timeline's, one instant record per
+/// event stamped at its cycle, then one duration record per Fig. 3 span.
+#[test]
+fn chrome_exports_parse_back_event_for_event() {
+    for events in [synthetic_events(), fig10_cold_report(false).trace] {
+        let doc = json::parse(&export::chrome_trace(&events)).expect("export parses");
+        let Some(Json::Arr(records)) = doc.get("traceEvents") else {
+            panic!("traceEvents is an array");
+        };
+        let spans = timeline::reconstruct(&events);
+        assert_eq!(
+            records.len(),
+            Layer::ALL.len() + 1 + events.len() + spans.len()
+        );
+        let instants: Vec<f64> = records
+            .iter()
+            .filter(|r| r.get("ph").and_then(Json::as_str) == Some("i"))
+            .map(|r| r.get("ts").and_then(Json::as_num).expect("numeric ts"))
+            .collect();
+        let cycles: Vec<f64> = events.iter().map(|e| e.cycle as f64).collect();
+        assert_eq!(instants, cycles);
+    }
 }
