@@ -14,7 +14,9 @@
 //! | `aes_trace` | §6.2 — full single-run AES access-trace extraction |
 //! | `ablate_walk` | §4.1.2 — speculation-window size vs walk tuning |
 //! | `sec8_analyze` | static attack-plan analysis, validated in-simulator |
-//! | `perf_bench` | simulator perf trajectory — emits `BENCH_replay.json` |
+//!
+//! Performance is measured by the separate `perfbench` package at the
+//! repository root (see `BENCHMARK.json`), not by a binary here.
 
 /// Renders a latency series as a compact ASCII scatter summary: count per
 /// bucket, plus min/median/p99/max.

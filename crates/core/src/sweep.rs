@@ -280,37 +280,31 @@ impl<'a, P, R> SweepSpec<'a, P, R> {
             .clamp(1, points.len().max(1));
         let runner = &self.runner;
         let started = Instant::now();
-        let mut outputs: Vec<(usize, Result<R, SweepError>)> = if jobs <= 1 {
-            points
-                .iter()
-                .map(|pt| (pt.index, run_point_isolated(runner, pt)))
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let done: Mutex<Vec<(usize, Result<R, SweepError>)>> =
-                Mutex::new(Vec::with_capacity(points.len()));
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        // Steal the next unclaimed point; completion order
-                        // is scheduling-dependent, which is why results are
-                        // keyed (and later sorted) by grid index.
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(pt) = points.get(i) else { break };
-                        let out = run_point_isolated(runner, pt);
-                        // A worker that died between lock() and push()
-                        // poisons the mutex; the results it already pushed
-                        // are intact, so recover them instead of cascading
-                        // the panic across the whole grid.
-                        done.lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .push((i, out));
-                    });
-                }
-            });
-            done.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-        };
+        let cursor = AtomicUsize::new(0);
+        let done: Mutex<Vec<(usize, Result<R, SweepError>)>> =
+            Mutex::new(Vec::with_capacity(points.len()));
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| loop {
+                    // Steal the next unclaimed point; completion order is
+                    // scheduling-dependent, which is why results are keyed
+                    // (and later sorted) by grid index.
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(pt) = points.get(i) else { break };
+                    let out = run_point_isolated(runner, pt);
+                    // A worker that died between lock() and push() poisons
+                    // the mutex; the results it already pushed are intact,
+                    // so recover them instead of cascading the panic across
+                    // the whole grid.
+                    done.lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .push((i, out));
+                });
+            }
+        });
+        let mut outputs = done
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         let wall = started.elapsed();
         outputs.sort_by_key(|(i, _)| *i);
         let results = points

@@ -14,11 +14,13 @@
 //! * the page table (`ppn → page`) is an [`Rc`]-shared map, so **cloning a
 //!   `PhysMem` is one reference bump** — O(1), no byte is copied;
 //! * each page is itself an [`Rc`]-shared 4 KiB frame, so the first write
-//!   after a clone copies **only the written page** ([`Rc::make_mut`]),
-//!   never the whole store;
+//!   after a clone copies the table (one `Rc` per resident page) and
+//!   **only the written page's bytes** ([`Rc::make_mut`]), never the
+//!   whole store; later writes copy one page per newly dirtied page;
 //! * per-epoch dirty counters ([`PhysMem::epoch_dirty_pages`]) let the
 //!   checkpoint layer report restore cost as *pages actually dirtied
-//!   between capture and rewind*, pinning the O(dirty) claim in benches.
+//!   between capture and rewind*, which `tests/checkpoint_replay.rs`
+//!   pins exactly.
 //!
 //! Reads of never-written memory still return zeros (as if backed by the
 //! zero page). Page tables, victim data, monitor buffers and AES tables all

@@ -3,9 +3,8 @@
 //! DESIGN.md §5 forbids new dependencies, so the exporters build JSON by
 //! string assembly. This module holds the number and string writers they
 //! use, and one RFC 8259 reader with two entry points: [`parse`] builds a
-//! [`Json`] tree (the bench harness reads its emit back with it) and
-//! [`validate`] checks a document by the same grammar without building
-//! anything.
+//! [`Json`] tree (the tests read exports back with it) and [`validate`]
+//! checks a document by the same grammar without building anything.
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write};
@@ -86,8 +85,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, as the nearest `f64`.
-    Num(f64),
+    /// Any JSON number, as its source text, so an integer above 2^53
+    /// reads back exactly through [`Json::as_u64`].
+    Num(String),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -106,15 +106,20 @@ impl Json {
         }
     }
 
-    /// Walks a `.`-separated path of object keys.
-    pub fn path(&self, path: &str) -> Option<&Json> {
-        path.split('.').try_fold(self, |v, k| v.get(k))
-    }
-
-    /// The numeric value, if this is a number.
+    /// The numeric value as the nearest `f64`, if this is a number.
     pub fn as_num(&self) -> Option<f64> {
         match self {
-            Json::Num(n) => Some(*n),
+            Json::Num(n) => n.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if this is a number written as a plain unsigned
+    /// integer that fits a `u64` (no sign, fraction or exponent).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            // The grammar admits no `+`, the one sign `u64` parsing takes.
+            Json::Num(n) => n.parse().ok(),
             _ => None,
         }
     }
@@ -420,9 +425,8 @@ impl<'a, const BUILD: bool> Parser<'a, BUILD> {
             }
         }
         if BUILD {
-            let n = self.text[start..self.pos].parse();
             self.built
-                .push(Json::Num(n.expect("RFC 8259 numbers parse as f64")));
+                .push(Json::Num(self.text[start..self.pos].to_string()));
         }
         Ok(())
     }
@@ -533,20 +537,46 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_bench_shapes() {
+    fn parses_nested_shapes() {
         let v = parse(r#"{"schema":"v1","w":{"fig10":{"speedup":3.5,"iters":4}},"ok":true}"#)
             .expect("well-formed");
-        assert_eq!(v.path("w.fig10.speedup").and_then(Json::as_num), Some(3.5));
+        let fig10 = v.get("w").and_then(|w| w.get("fig10")).expect("nested");
+        assert_eq!(fig10.get("speedup").and_then(Json::as_num), Some(3.5));
+        assert_eq!(fig10.get("iters").and_then(Json::as_u64), Some(4));
         assert_eq!(v.get("schema").and_then(Json::as_str), Some("v1"));
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(v.path("w.missing"), None);
+        assert_eq!(v.get("w").and_then(|w| w.get("missing")), None);
         let Json::Arr(items) = parse(r#"[1, -2.5e3, "a\"b\n", null, false]"#).expect("well-formed")
         else {
             panic!("array")
         };
-        assert_eq!(items[1], Json::Num(-2500.0));
+        assert_eq!(items[1].as_num(), Some(-2500.0));
         assert_eq!(items[2], Json::Str("a\"b\n".into()));
         assert_eq!(items[3], Json::Null);
+    }
+
+    /// `as_u64` reads a plain integer exactly, even above 2^53 where the
+    /// nearest `f64` is off, and refuses anything else.
+    #[test]
+    fn integers_read_back_exactly() {
+        const ROWS: &[(&str, Option<u64>)] = &[
+            ("0", Some(0)),
+            ("9007199254740993", Some((1 << 53) + 1)),
+            ("18446744073709551615", Some(u64::MAX)),
+            ("18446744073709551616", None),
+            ("1.0", None),
+            ("1e3", None),
+            ("-1", None),
+            ("-0", None),
+            ("\"7\"", None),
+        ];
+        for &(doc, want) in ROWS {
+            assert_eq!(parse(doc).expect(doc).as_u64(), want, "{doc}");
+        }
+        assert_eq!(
+            parse("18446744073709551615").expect("u64::MAX").as_num(),
+            Some(u64::MAX as f64)
+        );
     }
 
     #[test]

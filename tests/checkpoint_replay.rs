@@ -16,6 +16,9 @@
 //!    dirty writes between capture and restore never leak through a
 //!    copy-on-write snapshot: restoring it yields the same bytes a
 //!    byte-for-byte deep copy taken at capture time holds.
+//! 5. **Checkpoint cost is O(dirty pages)** — capture copies no page
+//!    whatever the resident footprint, and a replay restores and copies
+//!    exactly the pages it dirtied, pinned as work counters.
 
 use microscope::channels::port_contention::{self, PortContentionConfig};
 use microscope::core::{AttackReport, AttackSession, RunRequest, SessionBuilder};
@@ -306,4 +309,93 @@ fn probe_ring_overflow_counts_every_dropped_event() {
         emitted - tiny.trace.len() as u64,
         "events_dropped must equal emitted minus recorded"
     );
+}
+
+/// A one-load victim on a replay handle (two replays per step), with
+/// `extra_pages` frames written beyond it so the resident footprint
+/// scales while the workload stays the same.
+fn footprint_session(extra_pages: u64) -> AttackSession {
+    let mut b = SessionBuilder::new();
+    let aspace = b.new_aspace(1);
+    let handle = VAddr(0x1000_0000);
+    aspace.alloc_map(b.phys(), handle, 4096, PteFlags::user_data());
+    let mut asm = Assembler::new();
+    asm.imm(Reg(1), handle.0).load(Reg(2), Reg(1), 0).halt();
+    b.victim(asm.finish(), aspace);
+    let id = b.module().provide_replay_handle(ContextId(0), handle);
+    b.module().recipe_mut(id).replays_per_step = 2;
+    let base = b.phys().alloc_frames(extra_pages);
+    for i in 0..extra_pages {
+        b.phys().write_u8(PAddr((base + i) * PAGE_BYTES), 0xA5);
+    }
+    b.build().expect("footprint session has a victim")
+}
+
+/// Runs `session` cold, then `replays` times from its armed checkpoint,
+/// and returns what the replays added to the checkpoint engine's
+/// `(restores, restore_pages, pages_cow)`.
+fn replay_page_costs(
+    session: &mut AttackSession,
+    max_cycles: u64,
+    replays: u64,
+) -> (u64, u64, u64) {
+    session
+        .execute(RunRequest::cold(max_cycles))
+        .expect("a cold run cannot fail");
+    let before = session.machine().checkpoint_stats();
+    for _ in 0..replays {
+        session
+            .execute(RunRequest::cold(max_cycles).from_checkpoint())
+            .expect("the cold run armed the replay handle");
+    }
+    let after = session.machine().checkpoint_stats();
+    (
+        after.restores - before.restores,
+        after.restore_pages - before.restore_pages,
+        after.pages_cow - before.pages_cow,
+    )
+}
+
+/// Property 5, as exact host-independent counters: capture shares every
+/// page at 64 and at 512 extra resident pages, and a replay's restore
+/// and copy-on-write cost depends on the pages it dirties, not on the
+/// footprint.
+#[test]
+fn checkpoint_page_costs_are_pinned() {
+    for (extra, resident) in [(64, 68), (512, 516)] {
+        let session = footprint_session(extra);
+        let phys = &session.machine().hw().phys;
+        assert_eq!(phys.resident_pages(), resident);
+        let (cow, tables) = (phys.cow_copied_pages(), phys.table_copies());
+        let snaps: Vec<_> = (0..100).map(|_| session.machine().checkpoint()).collect();
+        let phys = &session.machine().hw().phys;
+        assert_eq!(phys.cow_copied_pages(), cow, "capture copied pages");
+        assert_eq!(phys.table_copies(), tables, "capture copied the page table");
+        // The last frame allocated is the last extra page.
+        assert!(
+            phys.page_is_shared(phys.frames_allocated()),
+            "capture shares pages"
+        );
+        drop(snaps);
+
+        let mut session = footprint_session(extra);
+        let costs = replay_page_costs(&mut session, BUDGET, 5);
+        assert_eq!(costs, (5, 20, 20), "{extra} extra pages");
+    }
+
+    let cfg = PortContentionConfig {
+        samples: 32,
+        replays: 60,
+        handler_cycles: 800,
+        walk: WalkTuning::Long,
+        max_cycles: 30_000_000,
+        ambient_interrupt_retires: None,
+        probe: None,
+    };
+    let mut session = port_contention::build_session(true, &cfg);
+    let costs = replay_page_costs(&mut session, cfg.max_cycles, 12);
+    assert_eq!(costs, (12, 120, 96));
+    // The page table the first write after each restore copies: one `Rc`
+    // per resident page.
+    assert_eq!(session.machine().hw().phys.resident_pages(), 11);
 }

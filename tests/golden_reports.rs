@@ -791,12 +791,14 @@ fn chrome_exports_parse_back_event_for_event() {
             records.len(),
             Layer::ALL.len() + 1 + events.len() + spans.len()
         );
-        let instants: Vec<f64> = records
+        // Exact integers: the synthetic stream's `u64::MAX` stamp would
+        // read back equal to 2^64 through an `f64`.
+        let instants: Vec<u64> = records
             .iter()
             .filter(|r| r.get("ph").and_then(Json::as_str) == Some("i"))
-            .map(|r| r.get("ts").and_then(Json::as_num).expect("numeric ts"))
+            .map(|r| r.get("ts").and_then(Json::as_u64).expect("integer ts"))
             .collect();
-        let cycles: Vec<f64> = events.iter().map(|e| e.cycle as f64).collect();
+        let cycles: Vec<u64> = events.iter().map(|e| e.cycle).collect();
         assert_eq!(instants, cycles);
     }
 }
